@@ -140,13 +140,13 @@ def _record(command: str, n, i, k, value: Fraction, detail, t0: float) -> dict:
             "w2": str(detail.spec_used.w2),
             "seed": detail.spec_used.seed,
         },
-        "elapsed_ms": int((time.time() - t0) * 1000),
+        "elapsed_ms": int((time.perf_counter() - t0) * 1000),
     }
 
 
 def _cmd_donaldson(args) -> int:
-    t0 = time.time()
-    res = donaldson_q(args.n, seed=args.seed, threads=args.threads)
+    t0 = time.perf_counter()
+    res = donaldson_q(args.n, seed=args.seed)
     spec = res.detail
     i, k = (5 - args.n, 3 * args.n - 3) if args.n <= 5 else (0, 14)
     rec = _record("donaldson", args.n, i, k, Fraction(res.q), spec, t0)
@@ -157,8 +157,8 @@ def _cmd_donaldson(args) -> int:
 
 
 def _cmd_darboux(args) -> int:
-    t0 = time.time()
-    res = darboux_count(args.n, args.i, seed=args.seed, threads=args.threads)
+    t0 = time.perf_counter()
+    res = darboux_count(args.n, args.i, seed=args.seed)
     rec = _record("darboux", args.n, args.i, 2 * args.n + 2 - args.i,
                   Fraction(res.count), res.detail, t0)
     if not res.validated:
@@ -170,17 +170,17 @@ def _cmd_darboux(args) -> int:
 
 
 def _cmd_integrate(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     expr = parse_integrand(args.expr)
-    res = integrate(args.m, expr.to_spec(), seed=args.seed, threads=args.threads)
+    res = integrate(args.m, expr.to_spec(), seed=args.seed)
     rec = _record("integrate", args.m, expr.i, expr.k, res.value, res, t0)
     _emit(rec, args.format, f"integral over H_{args.m} = {res.value}")
     return 0
 
 
 def _cmd_table(args) -> int:
-    t0 = time.time()
-    rows = invariant_table(args.n_max, seed=args.seed, threads=args.threads)
+    t0 = time.perf_counter()
+    rows = invariant_table(args.n_max, seed=args.seed)
     if args.format == "json":
         print(json.dumps([
             _record("table", row.n, None, None, Fraction(row.q), row.detail, t0)
@@ -230,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "via fixed-point localization on Hilbert schemes.",
     )
     parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="command", required=True)
 

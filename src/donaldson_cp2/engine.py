@@ -7,20 +7,30 @@ at generic integer torus parameters; the sum over fixed points is a
 constant (independent of the parameters) whenever i + k <= 2m.  Every
 integral is evaluated under two independent specializations and the
 results must agree bitwise.
+
+The sum is taken per chart, not per fixed point.  A fixed point is a
+triple of partitions, one per chart of P^2.  Its tangent weights and its
+E-weights e_j depend on each chart's partition alone, and the weight
+lambda of L on the chart sizes (a, b, c) alone.  The Segre class of the
+roots -(e_j + lambda) is s_k = h_k(e + lambda), and
+
+    h_k(e_1 + y, ..., e_r + y) = sum_l C(r-1+k, k-l) y^(k-l) h_l(e).
+
+So the fixed points with chart sizes (a, b, c) contribute lambda^i times
+the rank-m shift by lambda of the product of three chart series
+sum_{mu |- size} h(e^mu) / euler_mu, each of which depends on the chart
+and the size alone.  `integrand_at` keeps the per-fixed-point summand as
+the reference the tests check the chart sum against.
 """
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, lcm
+from operator import mul
 
-from .partitions import FixedPoint, enumerate_fixed_points
-from .weights import (
-    DEFAULT_FRAMES,
-    DegenerateSpecialization,
-    FixedPointWeights,
-    fixed_point_weights,
-)
+from .partitions import FixedPoint, cells, enumerate_partitions
+from .weights import DEFAULT_FRAMES, DegenerateSpecialization, fixed_point_weights
 
 
 class DegreeMismatch(Exception):
@@ -104,7 +114,15 @@ def sample_specialization(rng: random.Random, seed: int) -> Specialization:
             return Specialization(w1, w2, seed)
 
 
-def _summand(fpw: FixedPointWeights, w1: int, w2: int, integrand: IntegrandSpec) -> Fraction:
+def integrand_at(fp: FixedPoint, spec: Specialization, integrand: IntegrandSpec,
+                 frames=DEFAULT_FRAMES) -> Fraction:
+    """Summand of the fixed-point formula at a single fixed point.
+
+    The reference for `fixed_point_sum`: it builds the fixed point's
+    weight forms and inverts its Chern series.
+    """
+    fpw = fixed_point_weights(fp, frames)
+    w1, w2 = spec.w1, spec.w2
     euler = 1
     for form in fpw.tangent:
         val = form.a * w1 + form.b * w2
@@ -124,57 +142,137 @@ def _summand(fpw: FixedPointWeights, w1: int, w2: int, integrand: IntegrandSpec)
     return Fraction(lam**integrand.i * s[k], euler)
 
 
-def integrand_at(fp: FixedPoint, spec: Specialization, integrand: IntegrandSpec,
-                 frames=DEFAULT_FRAMES) -> Fraction:
-    """Summand of the fixed-point formula at a single fixed point."""
-    return _summand(fixed_point_weights(fp, frames), spec.w1, spec.w2, integrand)
+def _shapes(m: int):
+    """For each size 0..m, one entry per partition of that size, in
+    enumeration order: (parent, cell, hooks).  The partition is its parent
+    (an index into the previous size's list) plus the cell (row, col) at
+    the end of its last row; hooks holds (arm, leg) of each of its cells.
+    The empty partition has parent and cell None."""
+    shapes = [[(None, None, ())]]
+    index = {(): 0}
+    for size in range(1, m + 1):
+        by_size, next_index = [], {}
+        for p in enumerate_partitions(size):
+            parts = p.parts
+            last = len(parts) - 1
+            parent = parts[:last] + ((parts[last] - 1,) if parts[last] > 1 else ())
+            next_index[parts] = len(by_size)
+            by_size.append((index[parent], (last, parts[last] - 1),
+                            tuple((c.arm, c.leg) for c in cells(p))))
+        shapes.append(by_size)
+        index = next_index
+    return shapes
 
 
-def _chunked(seq, n_chunks: int):
-    size = max(1, -(-len(seq) // n_chunks))
-    return [seq[j:j + size] for j in range(0, len(seq), size)]
+def _chart_table(shapes, frame, w1: int, w2: int, k: int):
+    """One chart's series, per size: (D, H) with H[l] = D * sum over the
+    partitions mu of that size of h_l(e^mu) / euler_mu, for l = 0..k.
+
+    euler_mu is the product of mu's tangent weights, e^mu its E-weights
+    and D the lcm of the euler_mu.  h(e^mu) extends its parent's series
+    by the one new cell.  Raises DegenerateSpecialization if any tangent
+    weight vanishes.
+    """
+    u_form, v_form = frame.coord_weights
+    u, v = u_form.evaluate(w1, w2), v_form.evaluate(w1, w2)
+    line = frame.line_weight.evaluate(w1, w2)
+    table, parent_hs = [], [[1] + [0] * k]
+    for by_size in shapes[1:]:
+        eulers, hs = [], []
+        for parent, (row, col), hooks in by_size:
+            euler = 1
+            for arm, leg in hooks:
+                t1 = (arm + 1) * u - leg * v
+                t2 = (leg + 1) * v - arm * u
+                if t1 == 0 or t2 == 0:
+                    form = (u_form.scale(arm + 1) - v_form.scale(leg) if t1 == 0
+                            else v_form.scale(leg + 1) - u_form.scale(arm))
+                    raise DegenerateSpecialization(
+                        f"tangent weight {form.a}*w1+{form.b}*w2 vanishes "
+                        f"at ({w1}, {w2})"
+                    )
+                euler *= t1 * t2
+            e = col * u + row * v - line
+            h = parent_hs[parent][:]
+            for j in range(1, k + 1):
+                h[j] += e * h[j - 1]
+            eulers.append(euler)
+            hs.append(h)
+        denom = lcm(*eulers)
+        scales = [denom // euler for euler in eulers]
+        table.append((denom, [sum(map(mul, scales, coeffs)) for coeffs in zip(*hs)]))
+        parent_hs = hs
+    return [(1, [1] + [0] * k)] + table
 
 
-def _sum_once(data, spec: Specialization, integrand: IntegrandSpec,
-              threads: int) -> Fraction:
-    if threads <= 1 or len(data) < 2:
-        return sum((_summand(fpw, spec.w1, spec.w2, integrand) for fpw in data),
-                   Fraction(0))
-    chunks = _chunked(data, threads)
+def _convolve(p, q):
+    """The product of two series truncated to the length of p."""
+    return [sum(map(mul, p[:l + 1], q[l::-1])) for l in range(len(p))]
 
-    def chunk_sum(chunk):
-        return sum((_summand(fpw, spec.w1, spec.w2, integrand) for fpw in chunk),
-                   Fraction(0))
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        partials = list(pool.map(chunk_sum, chunks))
-    # canonical fold order: chunk 0, 1, 2, ... regardless of completion order
-    return sum(partials, Fraction(0))
+def fixed_point_sum(m: int, spec: Specialization, integrand: IntegrandSpec,
+                    frames=DEFAULT_FRAMES, shapes=None) -> Fraction:
+    """Sum of `integrand_at` over all fixed points of Hilb^m at spec,
+    computed chart by chart: one Fraction per triple of chart sizes.
+
+    Raises DegenerateSpecialization exactly when some fixed point has a
+    vanishing tangent weight.
+    """
+    if shapes is None:
+        shapes = _shapes(m)
+    w1, w2 = spec.w1, spec.w2
+    i, k = integrand.i, integrand.k
+    tables = [_chart_table(shapes, frame, w1, w2, k) for frame in frames]
+    lines = [frame.line_weight.evaluate(w1, w2) for frame in frames]
+    # s_k of the rank-m sum shifted by lambda is sum_l C(m-1+k, k-l)
+    # lambda^(k-l) h_l, taken by Horner; the l = k binomial is written
+    # as 1 because comb(-1, 0) raises at m = 0
+    shift = [comb(m + k - 1, k - l) for l in range(k)] + [1]
+    total = Fraction(0)
+    for a in range(m + 1):
+        den_a, h_a = tables[0][a]
+        for b in range(m - a + 1):
+            c = m - a - b
+            lam = a * lines[0] + b * lines[1] + c * lines[2]
+            if lam == 0 and i:
+                continue
+            den_b, h_b = tables[1][b]
+            den_c, h_c = tables[2][c]
+            h = _convolve(_convolve(h_a, h_b), h_c)
+            s_k = 0
+            for coeff, h_l in zip(shift, h):
+                s_k = s_k * lam + coeff * h_l
+            total += Fraction(lam**i * s_k, den_a * den_b * den_c)
+    return total
 
 
 def integrate(m: int, integrand: IntegrandSpec, *, seed: int = 0,
-              threads: int = 1, frames=DEFAULT_FRAMES) -> IntegralResult:
+              frames=DEFAULT_FRAMES) -> IntegralResult:
     """Integrate c1(L)^i * s_k(E tensor L) over Hilb^m(P^2) exactly.
 
     Requires i + k <= 2m; for i + k < 2m the value is 0 by degree
     reasons, which the summation confirms.  The sum is evaluated under
     two independently sampled specializations and must agree.
     """
+    if m < 0:
+        raise ValueError("m must be nonnegative")
     if integrand.i < 0 or integrand.k < 0:
         raise ValueError("integrand exponents must be nonnegative")
     if integrand.i + integrand.k > 2 * m:
         raise DegreeMismatch(
             f"i+k = {integrand.i + integrand.k} exceeds dim Hilb^{m} = {2 * m}"
         )
-    fps = enumerate_fixed_points(m)
-    data = [fixed_point_weights(fp, frames) for fp in fps]
+    shapes = _shapes(m)
+    counts = [len(by_size) for by_size in shapes]
+    fixed_points = sum(counts[a] * counts[b] * counts[m - a - b]
+                       for a in range(m + 1) for b in range(m - a + 1))
     rng = random.Random(seed)
 
     def evaluate() -> tuple[Fraction, Specialization]:
         for _ in range(MAX_RESAMPLES):
             spec = sample_specialization(rng, seed)
             try:
-                return _sum_once(data, spec, integrand, threads), spec
+                return fixed_point_sum(m, spec, integrand, frames, shapes), spec
             except DegenerateSpecialization:
                 continue
         raise SpecializationExhausted(
@@ -187,4 +285,4 @@ def integrate(m: int, integrand: IntegrandSpec, *, seed: int = 0,
         raise ArithmeticError(
             f"specialization cross-check failed: {value} != {check_value}"
         )
-    return IntegralResult(value, m, spec_used, check_spec, len(fps))
+    return IntegralResult(value, m, spec_used, check_spec, fixed_points)

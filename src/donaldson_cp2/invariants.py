@@ -40,7 +40,7 @@ def _as_integer(value: Fraction, what: str) -> int:
     return value.numerator
 
 
-def donaldson_q(n: int, *, seed: int = 0, threads: int = 1) -> DonaldsonResult:
+def donaldson_q(n: int, *, seed: int = 0) -> DonaldsonResult:
     """The Donaldson coefficient q_{4n-3} of CP^2, for 2 <= n <= 6.
 
     The n = 6 case uses the prefactor 2/5; it is a special case and the
@@ -54,14 +54,14 @@ def donaldson_q(n: int, *, seed: int = 0, threads: int = 1) -> DonaldsonResult:
     else:
         prefactor = Fraction(2, 5)
         integrand = IntegrandSpec(i=0, k=14)
-    result = integrate(n + 1, integrand, seed=seed, threads=threads)
+    result = integrate(n + 1, integrand, seed=seed)
     raw = result.value
     _as_integer(raw, f"raw integral for n={n}")
     q = _as_integer(prefactor * raw, f"q_{4 * n - 3}")
     return DonaldsonResult(n, q, raw, prefactor, result)
 
 
-def darboux_count(n: int, i: int, *, seed: int = 0, threads: int = 1) -> DarbouxCount:
+def darboux_count(n: int, i: int, *, seed: int = 0) -> DarbouxCount:
     """Number of Darboux configurations (Pi, C) with the (n+1)-gon Pi
     through i given points and the degree-n curve C through 3n+2-i given
     points, counted on the compactification."""
@@ -69,21 +69,19 @@ def darboux_count(n: int, i: int, *, seed: int = 0, threads: int = 1) -> Darboux
         raise OutOfRange(f"darboux_count requires n >= 2, got {n}")
     if not 0 <= i <= 2 * n + 2:
         raise OutOfRange(f"darboux_count requires 0 <= i <= {2 * n + 2}, got {i}")
-    result = integrate(n + 1, IntegrandSpec(i=i, k=2 * n + 2 - i),
-                       seed=seed, threads=threads)
+    result = integrate(n + 1, IntegrandSpec(i=i, k=2 * n + 2 - i), seed=seed)
     count = _as_integer(result.value, f"darboux count (n={n}, i={i})")
     return DarbouxCount(n, i, count, validated=n <= 6, detail=result)
 
 
 def invariant_table(n_max: int, *, darboux_n: tuple[int, ...] = (),
-                    seed: int = 0, threads: int = 1):
+                    seed: int = 0):
     """Donaldson rows for 2 <= n <= n_max, plus full Darboux rows (all i)
     for each n listed in darboux_n.  Deterministic for a fixed seed."""
     if not 2 <= n_max <= 6:
         raise OutOfRange(f"invariant_table requires 2 <= n_max <= 6, got {n_max}")
-    rows: list = [donaldson_q(n, seed=seed, threads=threads)
-                  for n in range(2, n_max + 1)]
+    rows: list = [donaldson_q(n, seed=seed) for n in range(2, n_max + 1)]
     for n in darboux_n:
         for i in range(2 * n + 3):
-            rows.append(darboux_count(n, i, seed=seed, threads=threads))
+            rows.append(darboux_count(n, i, seed=seed))
     return rows

@@ -6,6 +6,7 @@ acceptance tests both run exactly these.
 """
 
 from fractions import Fraction
+from math import prod
 
 from .engine import IntegrandSpec, integrate
 from .invariants import darboux_count, donaldson_q
@@ -103,11 +104,28 @@ def check_barth_witness():
     return True, "degree, incidence and system dimension correct for n=2..6"
 
 
-def check_parallel_determinism():
-    one = integrate(7, IntegrandSpec(0, 14), seed=5, threads=1)
-    eight = integrate(7, IntegrandSpec(0, 14), seed=5, threads=8)
-    ok = one.value == eight.value and one.value == Fraction(583020)
-    return ok, f"1 thread: {one.value}, 8 threads: {eight.value}"
+def check_run_determinism():
+    integrand = IntegrandSpec(0, 14)
+    first, again = (integrate(7, integrand, seed=5) for _ in range(2))
+    same_run = (first.value, first.spec_used, first.cross_check_spec) == \
+        (again.value, again.spec_used, again.cross_check_spec)
+    values = {integrate(7, integrand, seed=s).value for s in (5, 6, 7)}
+    ok = same_run and values == {Fraction(583020)}
+    return ok, (f"seed 5 twice: {first.value} at {first.spec_used} and "
+                f"{again.value} at {again.spec_used}; seeds 5, 6, 7 give "
+                f"{', '.join(sorted(map(str, values)))}")
+
+
+def check_c1_power_oracle():
+    """The integral of c1(L)^{2m} is (2m-1)!! (L is pulled back from
+    Sym^m P^2), an independent closed form for the whole sum."""
+    bad = []
+    for m in range(1, 10):
+        want = prod(range(2 * m - 1, 0, -2))
+        value = integrate(m, IntegrandSpec(2 * m, 0)).value
+        if value != want:
+            bad.append((m, value, want))
+    return not bad, f"mismatches: {bad}" if bad else "c1(L)^2m = (2m-1)!! for m=1..9"
 
 
 CRITERIA = [
@@ -118,7 +136,8 @@ CRITERIA = [
     ("vanishing", check_vanishing),
     ("fixed_point_counts", check_fixed_point_counts),
     ("barth_witness", check_barth_witness),
-    ("parallel_determinism", check_parallel_determinism),
+    ("run_determinism", check_run_determinism),
+    ("c1_power_oracle", check_c1_power_oracle),
 ]
 
 

@@ -120,6 +120,24 @@ def test_seed_flag_changes_specialization(capsys):
     assert rec1["value"] == rec2["value"]
 
 
-def test_threads_flag(capsys):
-    assert run(["--threads", "4", "donaldson", "--n", "3"]) == 0
-    assert "q_9 = 3" in capsys.readouterr().out
+def test_run_to_run_determinism(capsys):
+    records = []
+    for seed in ("4", "4", "5", "6"):
+        assert run(["--format", "json", "--seed", seed, "integrate", "--m", "3",
+                    "--expr", "c1(L)^3 * s3(E*L)"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        del record["elapsed_ms"]
+        records.append(record)
+    assert records[0] == records[1]
+    assert {r["value"]["num"] for r in records} == {"8"}
+
+
+def test_threads_flag_is_gone(capsys):
+    assert run(["--threads", "4", "donaldson", "--n", "3"]) == 2
+
+
+def test_integrate_negative_m(capsys):
+    assert run(["integrate", "--m", "-1", "--expr", "s0(E*L)"]) == 2
+    err = capsys.readouterr().err
+    assert "ValueError: m must be nonnegative" in err
+    assert "DegreeMismatch" not in err

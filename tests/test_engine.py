@@ -153,10 +153,17 @@ def test_linearization_shift_invariance():
             integrate(m, integrand).value
 
 
-def test_parallel_matches_serial():
-    one = integrate(4, IntegrandSpec(2, 6), seed=7, threads=1)
-    four = integrate(4, IntegrandSpec(2, 6), seed=7, threads=4)
-    assert one.value == four.value
+def test_run_to_run_determinism():
+    first = integrate(4, IntegrandSpec(2, 6), seed=7)
+    again = integrate(4, IntegrandSpec(2, 6), seed=7)
+    assert (first.value, first.spec_used, first.cross_check_spec) == \
+        (again.value, again.spec_used, again.cross_check_spec)
+    assert {integrate(4, IntegrandSpec(2, 6), seed=s).value for s in (7, 8, 9)} == {12}
+
+
+def test_integrate_rejects_negative_m():
+    with pytest.raises(ValueError, match="m must be nonnegative"):
+        integrate(-1, IntegrandSpec(0, 0))
 
 
 def test_result_metadata():
