@@ -15,8 +15,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
-from .linalg import bareiss_rank, clear_denominators
+from .linalg import bareiss_det, bareiss_rank, clear_denominators
 
 Point = tuple[Fraction, Fraction, Fraction]
 
@@ -64,11 +65,6 @@ class PlaneConfiguration:
     @property
     def n(self) -> int:
         return len(self.points) - 1
-
-    @property
-    def dual_lines(self) -> tuple[Point, ...]:
-        # the dual line of a point has the point's coordinates as coefficients
-        return self.points
 
     def nodes(self) -> list[Point]:
         """Pairwise intersections of the dual lines, n(n+1)/2 points."""
@@ -152,51 +148,17 @@ def sample_datum(n: int, seed: int) -> HulsbergenDatum:
             return HulsbergenDatum(config, ext)
 
 
-# -- tiny arithmetic for ternary forms: dict exponent-triple -> Fraction --
-
-def _poly_add(p, q):
-    out = dict(p)
-    for e, c in q.items():
-        nc = out.get(e, Fraction(0)) + c
-        if nc:
-            out[e] = nc
-        else:
-            out.pop(e, None)
-    return out
-
-def _poly_scale(p, c):
-    if c == 0:
-        return {}
-    return {e: v * c for e, v in p.items()}
-
-def _poly_mul(p, q):
-    out: dict = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-            nc = out.get(e, Fraction(0)) + c1 * c2
-            if nc:
-                out[e] = nc
-            else:
-                out.pop(e, None)
-    return out
-
-def _poly_det(matrix):
-    """Determinant of a matrix of ternary forms by cofactor expansion."""
-    n = len(matrix)
-    if n == 1:
-        return matrix[0][0]
-    total: dict = {}
-    for r in range(n):
-        entry = matrix[r][0]
-        if not entry:
-            continue
-        minor = [row[1:] for j, row in enumerate(matrix) if j != r]
-        term = _poly_mul(entry, _poly_det(minor))
-        if r % 2:
-            term = _poly_scale(term, Fraction(-1))
-        total = _poly_add(total, term)
-    return total
+def _expand_product(forms) -> list:
+    """Coefficients, in monomials(len(forms)) order, of the product of
+    the linear forms given by their coefficient triples."""
+    poly = {(0, 0, 0): 1}
+    for form in forms:
+        product: dict = {}
+        for (i, j, k), c in poly.items():
+            for exp, a in zip(((i + 1, j, k), (i, j + 1, k), (i, j, k + 1)), form):
+                product[exp] = product.get(exp, 0) + c * a
+        poly = product
+    return [poly.get(exp, 0) for exp in monomials(len(forms))]
 
 
 def barth_curve(datum: HulsbergenDatum) -> PlaneCurve:
@@ -205,13 +167,20 @@ def barth_curve(datum: HulsbergenDatum) -> PlaneCurve:
     The multiplication-by-ell map sends a vector s in the kernel of the
     extension functional to the vector (ell(z_j) * s_j), read modulo
     constants; its determinant is a degree-n form in the coordinates of
-    the variable line ell.
+    the variable line ell.  The map is P * diag(ell(zhat_j)) * K, with K
+    the kernel basis as columns and P the difference matrix, row r equal
+    to e_r - e_0; by Cauchy-Binet its determinant is
+
+        sum_j det(P without column j) det(K without row j)
+              prod_{i != j} ell(zhat_i).
     """
     config, ext = datum.config, datum.extension
     n = config.n
     zhat = [_normalize(p) for p in config.points]
 
-    # basis of the kernel of s -> sum(ext_j * s_j), n vectors in Q^{n+1}
+    # basis of the kernel of s -> sum(ext_j * s_j), n columns in Z^{n+1};
+    # scaling a column scales every maximal minor alike, so the
+    # normalized curve does not depend on it
     pivot = next(j for j, e in enumerate(ext) if e != 0)
     kernel = []
     for j in range(n + 1):
@@ -220,43 +189,28 @@ def barth_curve(datum: HulsbergenDatum) -> PlaneCurve:
         vec = [Fraction(0)] * (n + 1)
         vec[j] = Fraction(1)
         vec[pivot] = -ext[j] / ext[pivot]
-        kernel.append(vec)
+        kernel.append(clear_denominators(vec))
+    differences = [[-1] + [int(c == r) for c in range(1, n + 1)]
+                   for r in range(1, n + 1)]
 
-    # column c of the map: w_j = ell(zhat_j) * kernel[c][j], projected to
-    # Q^{n+1}/constants via differences against the 0th coordinate
-    matrix = []
-    for r in range(1, n + 1):
-        row = []
-        for vec in kernel:
-            form: dict = {}
-            for axis in range(3):
-                exp = tuple(1 if a == axis else 0 for a in range(3))
-                coeff = vec[r] * zhat[r][axis] - vec[0] * zhat[0][axis]
-                if coeff:
-                    form[exp] = coeff
-            row.append(form)
-        matrix.append(row)
-
-    det = _poly_det(matrix)
-    if not det:
+    total = [Fraction(0)] * len(monomials(n))
+    for j in range(n + 1):
+        minor = (bareiss_det([row[:j] + row[j + 1:] for row in differences])
+                 * bareiss_det([[vec[i] for vec in kernel]
+                                for i in range(n + 1) if i != j]))
+        if minor:
+            product = _expand_product(zhat[:j] + zhat[j + 1:])
+            total = [t + minor * c for t, c in zip(total, product)]
+    if not any(total):
         raise DegenerateDatum("determinant vanishes identically")
 
-    dense = [det.get(e, Fraction(0)) for e in monomials(n)]
-    ints = clear_denominators(dense)
-    g = 0
-    for v in ints:
-        g = _int_gcd(g, v)
+    ints = clear_denominators(total)
+    g = gcd(*ints)
     ints = [v // g for v in ints]
     lead = next(v for v in ints if v != 0)
     if lead < 0:
         ints = [-v for v in ints]
     return PlaneCurve(n, tuple(ints))
-
-
-def _int_gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def verify_darboux(config: PlaneConfiguration, curve: PlaneCurve) -> bool:

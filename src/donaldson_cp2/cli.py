@@ -42,7 +42,6 @@ class IntegrandExpression:
 
     i: int
     k: int
-    has_segre: bool
 
     def to_spec(self) -> IntegrandSpec:
         return IntegrandSpec(self.i, self.k)
@@ -108,7 +107,7 @@ def parse_integrand(text: str) -> IntegrandExpression:
             raise ParseError(sc.pos, {"*", "end of input"})
         term()
         sc.skip_ws()
-    return IntegrandExpression(i_total, k_total, seen_segre)
+    return IntegrandExpression(i_total, k_total)
 
 
 def _value_json(value: Fraction) -> dict:
@@ -127,12 +126,12 @@ def _emit(record: dict, fmt: str, text_line: str):
         print(text_line)
 
 
-def _record(command: str, n, i, k, value: Fraction, detail, t0: float) -> dict:
+def _record(command: str, n, value: Fraction, detail, elapsed_s: float) -> dict:
     return {
         "command": command,
         "n": n,
-        "i": i,
-        "k": k,
+        "i": detail.integrand.i,
+        "k": detail.integrand.k,
         "value": _value_json(value),
         "fixed_points": detail.fixed_point_count,
         "spec": {
@@ -140,7 +139,7 @@ def _record(command: str, n, i, k, value: Fraction, detail, t0: float) -> dict:
             "w2": str(detail.spec_used.w2),
             "seed": detail.spec_used.seed,
         },
-        "elapsed_ms": int((time.perf_counter() - t0) * 1000),
+        "elapsed_ms": int(elapsed_s * 1000),
     }
 
 
@@ -148,8 +147,8 @@ def _cmd_donaldson(args) -> int:
     t0 = time.perf_counter()
     res = donaldson_q(args.n, seed=args.seed)
     spec = res.detail
-    i, k = (5 - args.n, 3 * args.n - 3) if args.n <= 5 else (0, 14)
-    rec = _record("donaldson", args.n, i, k, Fraction(res.q), spec, t0)
+    rec = _record("donaldson", args.n, Fraction(res.q), spec,
+                  time.perf_counter() - t0)
     _emit(rec, args.format,
           f"q_{4 * args.n - 3} = {res.q}  (raw integral {res.raw_integral}, "
           f"prefactor {res.prefactor}, {spec.fixed_point_count} fixed points)")
@@ -159,8 +158,8 @@ def _cmd_donaldson(args) -> int:
 def _cmd_darboux(args) -> int:
     t0 = time.perf_counter()
     res = darboux_count(args.n, args.i, seed=args.seed)
-    rec = _record("darboux", args.n, args.i, 2 * args.n + 2 - args.i,
-                  Fraction(res.count), res.detail, t0)
+    rec = _record("darboux", args.n, Fraction(res.count), res.detail,
+                  time.perf_counter() - t0)
     if not res.validated:
         rec["note"] = "unvalidated against the published values (n > 6)"
     _emit(rec, args.format,
@@ -173,17 +172,18 @@ def _cmd_integrate(args) -> int:
     t0 = time.perf_counter()
     expr = parse_integrand(args.expr)
     res = integrate(args.m, expr.to_spec(), seed=args.seed)
-    rec = _record("integrate", args.m, expr.i, expr.k, res.value, res, t0)
+    rec = _record("integrate", args.m, res.value, res, time.perf_counter() - t0)
     _emit(rec, args.format, f"integral over H_{args.m} = {res.value}")
     return 0
 
 
 def _cmd_table(args) -> int:
-    t0 = time.perf_counter()
     rows = invariant_table(args.n_max, seed=args.seed)
     if args.format == "json":
+        # each row's time is that of its own integral
         print(json.dumps([
-            _record("table", row.n, None, None, Fraction(row.q), row.detail, t0)
+            _record("table", row.n, Fraction(row.q), row.detail,
+                    row.detail.elapsed_s)
             for row in rows
         ]))
     else:

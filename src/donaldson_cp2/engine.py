@@ -24,10 +24,11 @@ the reference the tests check the chart sum against.
 """
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, lcm
 from operator import mul
+from time import perf_counter
 
 from .partitions import FixedPoint, cells, enumerate_partitions
 from .weights import DEFAULT_FRAMES, DegenerateSpecialization, fixed_point_weights
@@ -66,9 +67,12 @@ class Specialization:
 class IntegralResult:
     value: Fraction
     m: int
+    integrand: IntegrandSpec
     spec_used: Specialization
     cross_check_spec: Specialization
     fixed_point_count: int
+    # seconds on perf_counter; a measurement, not part of the result
+    elapsed_s: float = field(compare=False)
 
     @property
     def is_integral(self) -> bool:
@@ -262,6 +266,7 @@ def integrate(m: int, integrand: IntegrandSpec, *, seed: int = 0,
         raise DegreeMismatch(
             f"i+k = {integrand.i + integrand.k} exceeds dim Hilb^{m} = {2 * m}"
         )
+    t0 = perf_counter()
     shapes = _shapes(m)
     counts = [len(by_size) for by_size in shapes]
     fixed_points = sum(counts[a] * counts[b] * counts[m - a - b]
@@ -285,4 +290,5 @@ def integrate(m: int, integrand: IntegrandSpec, *, seed: int = 0,
         raise ArithmeticError(
             f"specialization cross-check failed: {value} != {check_value}"
         )
-    return IntegralResult(value, m, spec_used, check_spec, fixed_points)
+    return IntegralResult(value, m, integrand, spec_used, check_spec,
+                          fixed_points, perf_counter() - t0)

@@ -1,47 +1,54 @@
 """Exact linear algebra over the integers: fraction-free elimination."""
 
 from fractions import Fraction
+from math import lcm
 
 
 def clear_denominators(row) -> list[int]:
     """Scale a row of Fractions/ints to integers by the lcm of denominators."""
     fracs = [Fraction(x) for x in row]
-    lcm = 1
-    for x in fracs:
-        d = x.denominator
-        g = _gcd(lcm, d)
-        lcm = lcm // g * d
-    return [int(x * lcm) for x in fracs]
+    scale = lcm(*(x.denominator for x in fracs))
+    return [int(x * scale) for x in fracs]
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
+def _eliminate(matrix) -> tuple[int, int, int]:
+    """Bareiss fraction-free Gaussian elimination of an integer matrix.
+    All intermediate entries stay integral.
+
+    Returns (rank, sign, last pivot), where sign is that of the row
+    permutation; for a square matrix of full rank, sign * last pivot is
+    the determinant.
+    """
+    m = [list(row) for row in matrix]
+    rows = len(m)
+    cols = len(m[0]) if m else 0
+    rank, sign, prev = 0, 1, 1
+    for c in range(cols):
+        if rank == rows:
+            break
+        pivot = next((j for j in range(rank, rows) if m[j][c] != 0), None)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            m[rank], m[pivot] = m[pivot], m[rank]
+            sign = -sign
+        for j in range(rank + 1, rows):
+            for cc in range(c + 1, cols):
+                m[j][cc] = (m[rank][c] * m[j][cc] - m[j][c] * m[rank][cc]) // prev
+            m[j][c] = 0
+        prev = m[rank][c]
+        rank += 1
+    return rank, sign, prev
 
 
 def bareiss_rank(matrix) -> int:
-    """Rank of an integer matrix by Bareiss fraction-free Gaussian
-    elimination.  All intermediate entries stay integral."""
-    m = [list(row) for row in matrix]
-    if not m or not m[0]:
-        return 0
-    rows, cols = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    r = 0
-    for c in range(cols):
-        pivot = next((j for j in range(r, rows) if m[j][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        for j in range(r + 1, rows):
-            for cc in range(c + 1, cols):
-                m[j][cc] = (m[r][c] * m[j][cc] - m[j][c] * m[r][cc]) // prev
-            m[j][c] = 0
-        prev = m[r][c]
-        r += 1
-        rank += 1
-        if r == rows:
-            break
-    return rank
+    """Rank of an integer matrix by Bareiss elimination."""
+    return _eliminate(matrix)[0]
+
+
+def bareiss_det(matrix) -> int:
+    """Determinant of a square integer matrix by Bareiss elimination."""
+    if any(len(row) != len(matrix) for row in matrix):
+        raise ValueError("matrix must be square")
+    rank, sign, last = _eliminate(matrix)
+    return sign * last if rank == len(matrix) else 0

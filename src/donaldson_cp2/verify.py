@@ -6,7 +6,8 @@ acceptance tests both run exactly these.
 """
 
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
+from time import perf_counter
 
 from .engine import IntegrandSpec, integrate
 from .invariants import darboux_count, donaldson_q
@@ -88,7 +89,7 @@ def check_fixed_point_counts():
 
 
 def check_barth_witness():
-    for n in range(2, 7):
+    for n in range(2, 8):
         for seed in range(20):
             datum = barth.sample_datum(n, seed)
             curve = barth.barth_curve(datum)
@@ -101,7 +102,44 @@ def check_barth_witness():
             dim = barth.darboux_system_dimension(config)
             if dim != n:
                 return False, f"system dimension {dim} != {n} at seed {1000 + seed}"
-    return True, "degree, incidence and system dimension correct for n=2..6"
+    return True, "degree, incidence and system dimension correct for n=2..7"
+
+
+def darboux_form(datum, line) -> Fraction:
+    """sum_j ext_j prod_{i != j} ell(zhat_i) at one line ell, where zhat_i
+    is point i divided by its first nonzero coordinate (the trivialization
+    barth uses): the closed form of the determinantal curve, with no
+    determinant in it."""
+    values = []
+    for p in datum.config.points:
+        first = next(c for c in p if c)
+        values.append(sum(l * c for l, c in zip(line, p)) / first)
+    return sum(e * prod(values[:j] + values[j + 1:])
+               for j, e in enumerate(datum.extension))
+
+
+def check_darboux_form_oracle():
+    """barth_curve is the closed form above, normalized.  The lines
+    (a, b, n-a-b) with a, b, n-a-b >= 0 are unisolvent for degree-n forms,
+    so values proportional there mean forms proportional everywhere; a
+    primitive integral form with positive leading coefficient is then the
+    normalized closed form itself."""
+    bad = []
+    for n in range(2, 10):
+        for seed in range(3):
+            datum = barth.sample_datum(n, seed)
+            curve = barth.barth_curve(datum)
+            # monomials(n) lists exactly the triples (a, b, n-a-b)
+            pairs = [(curve.evaluate(line), darboux_form(datum, line))
+                     for line in barth.monomials(n)]
+            ref_curve, ref_form = next(p for p in pairs if p[1])
+            proportional = all(c * ref_form == f * ref_curve for c, f in pairs)
+            lead = next(c for c in curve.coefficients if c)
+            if not (proportional and gcd(*curve.coefficients) == 1 and lead > 0):
+                bad.append((n, seed))
+    return not bad, (f"curve is not the normalized closed form at (n, seed) {bad}"
+                     if bad else "barth_curve = normalized sum_j ext_j prod_(i!=j) "
+                                 "ell(z_i) for n=2..9, 3 seeds each")
 
 
 def check_run_determinism():
@@ -138,13 +176,16 @@ CRITERIA = [
     ("barth_witness", check_barth_witness),
     ("run_determinism", check_run_determinism),
     ("c1_power_oracle", check_c1_power_oracle),
+    ("darboux_form_oracle", check_darboux_form_oracle),
 ]
 
 
 def run_all(report=print) -> bool:
     all_ok = True
     for name, check in CRITERIA:
+        t0 = perf_counter()
         ok, detail = check()
-        report(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+        elapsed = perf_counter() - t0
+        report(f"{'PASS' if ok else 'FAIL'} {name} ({elapsed:.2f} s): {detail}")
         all_ok = all_ok and ok
     return all_ok

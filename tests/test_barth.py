@@ -1,6 +1,8 @@
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +18,7 @@ from donaldson_cp2.barth import (
     sample_datum,
     verify_darboux,
 )
-from donaldson_cp2.linalg import bareiss_rank, clear_denominators
+from donaldson_cp2.linalg import bareiss_det, bareiss_rank, clear_denominators
 
 
 def F(x):
@@ -30,6 +32,25 @@ def det3(p, q, r):
     return (p[0] * (q[1] * r[2] - q[2] * r[1])
             - p[1] * (q[0] * r[2] - q[2] * r[0])
             + p[2] * (q[0] * r[1] - q[1] * r[0]))
+
+
+def fraction_det(matrix):
+    """Determinant by plain Fraction Gaussian elimination."""
+    work = [[Fraction(x) for x in row] for row in matrix]
+    det = Fraction(1)
+    for c in range(len(work)):
+        piv = next((r for r in range(c, len(work)) if work[r][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            work[c], work[piv] = work[piv], work[c]
+            det = -det
+        det *= work[c][c]
+        for r in range(c + 1, len(work)):
+            f = work[r][c] / work[c][c]
+            for cc in range(c, len(work)):
+                work[r][cc] -= f * work[c][cc]
+    return det
 
 
 def test_monomial_count():
@@ -63,6 +84,29 @@ def test_bareiss_rank_against_fraction_elimination():
                     work[r][cc] -= f * work[rank][cc]
             rank += 1
         assert bareiss_rank(m) == rank
+
+
+def test_bareiss_det_against_fraction_elimination():
+    rng = random.Random(11)
+    kinds = set()
+    for _ in range(60):
+        size = rng.randint(1, 6)
+        m = [[rng.randint(-5, 5) for _ in range(size)] for _ in range(size)]
+        if rng.random() < 0.3:
+            m[0][0] = 0  # the first pivot needs a row swap
+        if size > 1 and rng.random() < 0.3:
+            # one row a combination of other rows: singular
+            a, b = rng.sample(range(size), 2)
+            c = rng.choice([r for r in range(size) if r != a])
+            m[a] = [2 * x - 3 * y for x, y in zip(m[b], m[c])]
+        det = fraction_det(m)
+        assert bareiss_det(m) == det
+        kinds.add((m[0][0] == 0, det == 0))
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+    assert bareiss_det([]) == 1
+    assert bareiss_det([[0, 1], [1, 0]]) == -1
+    with pytest.raises(ValueError):
+        bareiss_det([[1, 2]])
 
 
 def test_clear_denominators():
@@ -209,3 +253,41 @@ def test_barth_curve_projective_equivariance():
             assert ref is not None
             for a, b in vals:
                 assert a * ref[1] == b * ref[0]
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_barth_curve_is_the_determinant(n):
+    # curve(ell) / det(P diag(ell(zhat)) K) is one nonzero constant, with
+    # the determinant taken numerically at each line
+    rng = random.Random(n)
+    for seed in range(3):
+        datum = sample_datum(n, seed)
+        curve = barth_curve(datum)
+        zhat = [tuple(x / next(c for c in p if c) for x in p)
+                for p in datum.config.points]
+        ext = datum.extension
+        pivot = next(j for j, e in enumerate(ext) if e)
+        kernel = [[F(j == i) - (i == pivot) * ext[j] / ext[pivot]
+                   for i in range(n + 1)]
+                  for j in range(n + 1) if j != pivot]
+        ratios = set()
+        for _ in range(4):
+            line = [F(rng.randint(-20, 20)) for _ in range(3)]
+            values = [sum(a * b for a, b in zip(line, z)) for z in zhat]
+            image = [[values[i] * vec[i] for i in range(n + 1)] for vec in kernel]
+            matrix = [[image[c][r] - image[c][0] for c in range(n)]
+                      for r in range(1, n + 1)]
+            det = fraction_det(matrix)
+            assert det != 0
+            ratios.add(curve.evaluate(line) / det)
+        assert len(ratios) == 1 and 0 not in ratios
+
+
+def test_barth_curve_matches_pinned_curves():
+    oracle = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.json"
+    pinned = json.loads(oracle.read_text())["witness"]
+    assert sum(len(by_seed) for by_seed in pinned.values()) == 40
+    for n, by_seed in pinned.items():
+        for seed, coefficients in by_seed.items():
+            curve = barth_curve(sample_datum(int(n), int(seed)))
+            assert list(curve.coefficients) == coefficients, (n, seed)

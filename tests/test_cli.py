@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -94,6 +95,20 @@ def test_table_text_and_csv(capsys):
     assert run(["--format", "csv", "table", "--n-max", "3"]) == 0
     out = capsys.readouterr().out.strip().splitlines()
     assert out == ["2,5,1", "3,9,3"]
+
+
+def test_table_json_rows_carry_their_integrand(capsys):
+    t0 = time.perf_counter()
+    assert run(["--format", "json", "table", "--n-max", "6"]) == 0
+    wall_ms = (time.perf_counter() - t0) * 1000
+    rows = json.loads(capsys.readouterr().out)
+    assert [row["n"] for row in rows] == [2, 3, 4, 5, 6]
+    for row in rows[:-1]:
+        assert (row["i"], row["k"]) == (5 - row["n"], 3 * row["n"] - 3)
+    assert (rows[-1]["i"], rows[-1]["k"]) == (0, 14)
+    # each row carries its own time, not the whole table's
+    assert all(isinstance(row["elapsed_ms"], int) for row in rows)
+    assert sum(row["elapsed_ms"] for row in rows) <= wall_ms
 
 
 def test_witness_command(capsys):

@@ -169,6 +169,8 @@ def test_integrate_rejects_negative_m():
 def test_result_metadata():
     res = integrate(3, IntegrandSpec(3, 3), seed=42)
     assert res.m == 3
+    assert res.integrand == IntegrandSpec(3, 3)
+    assert res.elapsed_s > 0
     assert res.fixed_point_count == 22
     assert res.spec_used != res.cross_check_spec
     assert res.is_integral
