@@ -8,18 +8,21 @@ determinant of multiplication by a variable linear form between two
 explicit n-dimensional spaces: the kernel of the extension functional on
 functions-on-Z twisted by O(-1), and functions-on-Z modulo constants.
 The result is a degree-n curve in the dual plane passing through every
-intersection point of the dual lines of the configuration.
+intersection point of the dual lines of the configuration.  Everything
+is computed over the integers.
 """
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
 from .linalg import bareiss_det, bareiss_rank, clear_denominators
 
-Point = tuple[Fraction, Fraction, Fraction]
+Point = tuple[int, int, int]
+
+COORD_RANGE = 30  # sampled coordinates lie in [-COORD_RANGE, COORD_RANGE]
+MAX_TRIES = 1000  # configurations drawn before sampling gives up
 
 
 class SamplingExhausted(Exception):
@@ -38,7 +41,7 @@ def _cross(p: Point, q: Point) -> Point:
     )
 
 
-def _det3(p: Point, q: Point, r: Point) -> Fraction:
+def _det3(p: Point, q: Point, r: Point) -> int:
     return (
         p[0] * (q[1] * r[2] - q[2] * r[1])
         - p[1] * (q[0] * r[2] - q[2] * r[0])
@@ -46,21 +49,20 @@ def _det3(p: Point, q: Point, r: Point) -> Fraction:
     )
 
 
-def _normalize(p: Point) -> Point:
-    """Divide by the first nonvanishing coordinate (fixed trivialization
-    of O(-1) at the point)."""
-    for c in p:
-        if c != 0:
-            return tuple(x / c for x in p)  # type: ignore[return-value]
-    raise ValueError("zero vector is not a projective point")
-
-
 @dataclass(frozen=True)
 class PlaneConfiguration:
     """n+1 points of P^2 in general position; their dual lines form the
-    polygon whose nodes the determinantal curve must pass through."""
+    polygon whose nodes the determinantal curve must pass through.  A
+    point is projective, so rational coordinates are scaled once, here,
+    to an integer vector naming the same point."""
 
     points: tuple[Point, ...]
+
+    def __post_init__(self):
+        points = tuple(tuple(clear_denominators(p)) for p in self.points)
+        if any(not any(p) for p in points):
+            raise ValueError("zero vector is not a projective point")
+        object.__setattr__(self, "points", points)
 
     @property
     def n(self) -> int:
@@ -82,14 +84,20 @@ class PlaneConfiguration:
 
 @dataclass(frozen=True)
 class HulsbergenDatum:
+    """A configuration and an extension vector, one entry per point.  The
+    curve does not change when the extension is scaled, so a rational
+    extension is scaled once, here, to an integer vector."""
+
     config: PlaneConfiguration
-    extension: tuple[Fraction, ...]
+    extension: tuple[int, ...]
 
     def __post_init__(self):
         if len(self.extension) != len(self.config.points):
             raise ValueError("extension length must be n+1")
         if all(e == 0 for e in self.extension):
             raise ValueError("extension vector must be nonzero (non-split)")
+        object.__setattr__(self, "extension",
+                           tuple(clear_denominators(self.extension)))
 
 
 def monomials(degree: int) -> list[tuple[int, int, int]]:
@@ -110,32 +118,33 @@ class PlaneCurve:
     degree: int
     coefficients: tuple[int, ...]
 
-    def evaluate(self, line: Point) -> Fraction:
-        total = Fraction(0)
+    def evaluate(self, line):
+        """The form at a line, exactly: an int at an integer line and a
+        rational at a rational one."""
+        total = 0
         for (i, j, k), c in zip(monomials(self.degree), self.coefficients):
             if c:
                 total += c * line[0] ** i * line[1] ** j * line[2] ** k
         return total
 
 
-def sample_configuration(n: int, seed: int, coord_range: int = 30,
-                         max_tries: int = 1000) -> PlaneConfiguration:
+def sample_configuration(n: int, seed: int) -> PlaneConfiguration:
     """n+1 random small-integer points satisfying the genericity
     condition; deterministic per seed."""
     if n < 2:
         raise ValueError("n must be at least 2")
     rng = random.Random(seed)
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         points = tuple(
-            (Fraction(rng.randint(-coord_range, coord_range)),
-             Fraction(rng.randint(-coord_range, coord_range)),
-             Fraction(1))
+            (rng.randint(-COORD_RANGE, COORD_RANGE),
+             rng.randint(-COORD_RANGE, COORD_RANGE),
+             1)
             for _ in range(n + 1)
         )
         config = PlaneConfiguration(points)
         if config.is_generic():
             return config
-    raise SamplingExhausted(f"no generic configuration in {max_tries} tries")
+    raise SamplingExhausted(f"no generic configuration in {MAX_TRIES} tries")
 
 
 def sample_datum(n: int, seed: int) -> HulsbergenDatum:
@@ -143,7 +152,7 @@ def sample_datum(n: int, seed: int) -> HulsbergenDatum:
     config = sample_configuration(n, seed)
     rng = random.Random(seed ^ 0x5EED)
     while True:
-        ext = tuple(Fraction(rng.randint(-9, 9)) for _ in range(n + 1))
+        ext = tuple(rng.randint(-9, 9) for _ in range(n + 1))
         if any(e != 0 for e in ext):
             return HulsbergenDatum(config, ext)
 
@@ -165,52 +174,45 @@ def barth_curve(datum: HulsbergenDatum) -> PlaneCurve:
     """The degree-n determinantal curve of the datum.
 
     The multiplication-by-ell map sends a vector s in the kernel of the
-    extension functional to the vector (ell(z_j) * s_j), read modulo
-    constants; its determinant is a degree-n form in the coordinates of
-    the variable line ell.  The map is P * diag(ell(zhat_j)) * K, with K
-    the kernel basis as columns and P the difference matrix, row r equal
-    to e_r - e_0; by Cauchy-Binet its determinant is
+    extension functional to the vector (ell(zhat_j) * s_j), read modulo
+    constants, with zhat_j = z_j / f_j and f_j the first nonzero
+    coordinate of z_j; its determinant is a degree-n form in ell.  The map
+    is P * diag(ell(zhat_j)) * K, with K the kernel basis as columns and
+    P the difference matrix, row r equal to e_r - e_0.  By Cauchy-Binet,
+    and as prod_{i != j} ell(zhat_i) is f_j prod_{i != j} ell(z_i) over
+    prod_i f_i, the determinant times prod_i f_i is the integer form
 
-        sum_j det(P without column j) det(K without row j)
-              prod_{i != j} ell(zhat_i).
+        sum_j det(P without column j) det(K without row j) f_j
+              prod_{i != j} ell(z_i).
     """
-    config, ext = datum.config, datum.extension
-    n = config.n
-    zhat = [_normalize(p) for p in config.points]
+    n = datum.config.n
+    ext, points = datum.extension, datum.config.points
 
-    # basis of the kernel of s -> sum(ext_j * s_j), n columns in Z^{n+1};
-    # scaling a column scales every maximal minor alike, so the
-    # normalized curve does not depend on it
+    # K has the kernel basis ext_p e_j - ext_j e_p (j != p) as columns;
+    # scaling a column scales every maximal minor alike, so the normalized
+    # curve does not depend on it
     pivot = next(j for j, e in enumerate(ext) if e != 0)
-    kernel = []
-    for j in range(n + 1):
-        if j == pivot:
-            continue
-        vec = [Fraction(0)] * (n + 1)
-        vec[j] = Fraction(1)
-        vec[pivot] = -ext[j] / ext[pivot]
-        kernel.append(clear_denominators(vec))
+    columns = [j for j in range(n + 1) if j != pivot]
+    kernel = [[-ext[j] if i == pivot else ext[pivot] * (i == j) for j in columns]
+              for i in range(n + 1)]
     differences = [[-1] + [int(c == r) for c in range(1, n + 1)]
                    for r in range(1, n + 1)]
 
-    total = [Fraction(0)] * len(monomials(n))
+    total = [0] * len(monomials(n))
     for j in range(n + 1):
         minor = (bareiss_det([row[:j] + row[j + 1:] for row in differences])
-                 * bareiss_det([[vec[i] for vec in kernel]
-                                for i in range(n + 1) if i != j]))
+                 * bareiss_det(kernel[:j] + kernel[j + 1:]))
         if minor:
-            product = _expand_product(zhat[:j] + zhat[j + 1:])
+            minor *= next(c for c in points[j] if c != 0)
+            product = _expand_product(points[:j] + points[j + 1:])
             total = [t + minor * c for t, c in zip(total, product)]
     if not any(total):
         raise DegenerateDatum("determinant vanishes identically")
 
-    ints = clear_denominators(total)
-    g = gcd(*ints)
-    ints = [v // g for v in ints]
-    lead = next(v for v in ints if v != 0)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return PlaneCurve(n, tuple(ints))
+    # primitive, with a positive leading coefficient
+    lead = next(v for v in total if v != 0)
+    g = gcd(*total) if lead > 0 else -gcd(*total)
+    return PlaneCurve(n, tuple(v // g for v in total))
 
 
 def verify_darboux(config: PlaneConfiguration, curve: PlaneCurve) -> bool:
@@ -226,9 +228,6 @@ def darboux_system_dimension(config: PlaneConfiguration) -> int:
     through all nodes, by exact rank of the node-evaluation matrix."""
     n = config.n
     mons = monomials(n)
-    rows = []
-    for node in config.nodes():
-        row = [node[0] ** i * node[1] ** j * node[2] ** k for (i, j, k) in mons]
-        rows.append(clear_denominators(row))
-    rank = bareiss_rank(rows)
-    return len(mons) - 1 - rank
+    rows = [[node[0] ** i * node[1] ** j * node[2] ** k for (i, j, k) in mons]
+            for node in config.nodes()]
+    return len(mons) - 1 - bareiss_rank(rows)

@@ -198,7 +198,7 @@ def _cmd_table(args) -> int:
 def _cmd_witness(args) -> int:
     results = []
     for offset in range(args.samples):
-        seed = args.seed_witness + offset
+        seed = args.seed + offset
         datum = barth.sample_datum(args.n, seed)
         curve = barth.barth_curve(datum)
         ok = curve.degree == args.n and barth.verify_darboux(datum.config, curve)
@@ -254,7 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness", help="determinantal-curve incidence witness")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", dest="seed_witness", type=int, default=0)
+    # the same value as the global --seed, which it overrides when given
+    p.add_argument("--seed", dest="seed", type=int, default=argparse.SUPPRESS)
     p.add_argument("--samples", type=int, default=1)
     p.set_defaults(func=_cmd_witness)
 

@@ -31,7 +31,13 @@ from operator import mul
 from time import perf_counter
 
 from .partitions import FixedPoint, cells, enumerate_partitions
-from .weights import DEFAULT_FRAMES, DegenerateSpecialization, fixed_point_weights
+from .weights import (
+    DEFAULT_FRAMES,
+    DegenerateSpecialization,
+    e_weights,
+    euler_class,
+    lambda_weight,
+)
 
 
 class DegreeMismatch(Exception):
@@ -123,23 +129,16 @@ def integrand_at(fp: FixedPoint, spec: Specialization, integrand: IntegrandSpec,
     """Summand of the fixed-point formula at a single fixed point.
 
     The reference for `fixed_point_sum`: it builds the fixed point's
-    weight forms and inverts its Chern series.
+    weight forms and inverts its Chern series.  Raises
+    DegenerateSpecialization if a tangent weight vanishes at spec.
     """
-    fpw = fixed_point_weights(fp, frames)
     w1, w2 = spec.w1, spec.w2
-    euler = 1
-    for form in fpw.tangent:
-        val = form.a * w1 + form.b * w2
-        if val == 0:
-            raise DegenerateSpecialization(
-                f"tangent weight {form.a}*w1+{form.b}*w2 vanishes at ({w1}, {w2})"
-            )
-        euler *= val
-    lam = fpw.lam.a * w1 + fpw.lam.b * w2
+    euler = euler_class(fp, w1, w2, frames)
+    lam = lambda_weight(fp, frames).evaluate(w1, w2)
     # Segre roots carry the dual characters -(e_j + lambda); this is the
     # sign convention under which the five published Donaldson values
     # come out right, and it is pinned by the acceptance suite.
-    roots = [-(form.a * w1 + form.b * w2 + lam) for form in fpw.e]
+    roots = [-(form.evaluate(w1, w2) + lam) for form in e_weights(fp, frames)]
     k = integrand.k
     chern = elementary_symmetric(roots, min(k, len(roots)))
     s = segre_coefficients(chern, k)

@@ -89,7 +89,7 @@ def check_fixed_point_counts():
 
 
 def check_barth_witness():
-    for n in range(2, 8):
+    for n in range(2, 10):
         for seed in range(20):
             datum = barth.sample_datum(n, seed)
             curve = barth.barth_curve(datum)
@@ -102,18 +102,20 @@ def check_barth_witness():
             dim = barth.darboux_system_dimension(config)
             if dim != n:
                 return False, f"system dimension {dim} != {n} at seed {1000 + seed}"
-    return True, "degree, incidence and system dimension correct for n=2..7"
+    return True, "degree, incidence and system dimension correct for n=2..9"
 
 
 def darboux_form(datum, line) -> Fraction:
     """sum_j ext_j prod_{i != j} ell(zhat_i) at one line ell, where zhat_i
     is point i divided by its first nonzero coordinate (the trivialization
-    barth uses): the closed form of the determinantal curve, with no
-    determinant in it."""
+    of the construction; barth_curve works with the integer points and
+    never divides): the closed form of the determinantal curve, with no
+    determinant in it.  Returns an exact Fraction for integer or rational
+    lines."""
     values = []
     for p in datum.config.points:
         first = next(c for c in p if c)
-        values.append(sum(l * c for l, c in zip(line, p)) / first)
+        values.append(Fraction(sum(l * c for l, c in zip(line, p)), first))
     return sum(e * prod(values[:j] + values[j + 1:])
                for j, e in enumerate(datum.extension))
 

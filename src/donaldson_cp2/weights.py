@@ -124,23 +124,6 @@ def lambda_weight(fp: FixedPoint, frames=DEFAULT_FRAMES) -> WeightForm:
     return total
 
 
-@dataclass(frozen=True)
-class FixedPointWeights:
-    """All weight data needed to evaluate a summand at one fixed point."""
-
-    tangent: tuple[WeightForm, ...]
-    e: tuple[WeightForm, ...]
-    lam: WeightForm
-
-
-def fixed_point_weights(fp: FixedPoint, frames=DEFAULT_FRAMES) -> FixedPointWeights:
-    return FixedPointWeights(
-        tangent=tuple(tangent_weights(fp, frames)),
-        e=tuple(e_weights(fp, frames)),
-        lam=lambda_weight(fp, frames),
-    )
-
-
 def euler_class(fp: FixedPoint, w1: int, w2: int, frames=DEFAULT_FRAMES) -> int:
     """Product of the specialized tangent weights at fp.
 

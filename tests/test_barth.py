@@ -19,6 +19,7 @@ from donaldson_cp2.barth import (
     verify_darboux,
 )
 from donaldson_cp2.linalg import bareiss_det, bareiss_rank, clear_denominators
+from donaldson_cp2.verify import darboux_form
 
 
 def F(x):
@@ -263,11 +264,11 @@ def test_barth_curve_is_the_determinant(n):
     for seed in range(3):
         datum = sample_datum(n, seed)
         curve = barth_curve(datum)
-        zhat = [tuple(x / next(c for c in p if c) for x in p)
+        zhat = [tuple(Fraction(x, next(c for c in p if c)) for x in p)
                 for p in datum.config.points]
         ext = datum.extension
         pivot = next(j for j, e in enumerate(ext) if e)
-        kernel = [[F(j == i) - (i == pivot) * ext[j] / ext[pivot]
+        kernel = [[F(j == i) - (i == pivot) * Fraction(ext[j], ext[pivot])
                    for i in range(n + 1)]
                   for j in range(n + 1) if j != pivot]
         ratios = set()
@@ -291,3 +292,60 @@ def test_barth_curve_matches_pinned_curves():
         for seed, coefficients in by_seed.items():
             curve = barth_curve(sample_datum(int(n), int(seed)))
             assert list(curve.coefficients) == coefficients, (n, seed)
+
+
+@pytest.mark.parametrize("n", (2, 4, 6))
+def test_rational_datum_equals_its_integer_rescaling(n):
+    # points are projective and the curve ignores the scale of the
+    # extension, so rational input names the same datum as integer input
+    rng = random.Random(100 + n)
+    for seed in range(3):
+        datum = sample_datum(n, seed)
+        # (d*k + 1) / d with d prime is never an integer
+        point_scales = []
+        for _ in datum.config.points:
+            d = rng.choice([2, 3, 5, 7])
+            sign = rng.choice([-1, 1])
+            point_scales.append(Fraction(sign * (d * rng.randint(0, 4) + 1), d))
+        ext_scale = Fraction(2 * rng.randint(0, 4) + 1, 2)
+        rational = HulsbergenDatum(
+            PlaneConfiguration(tuple(tuple(s * x for x in p) for s, p in
+                                     zip(point_scales, datum.config.points))),
+            tuple(ext_scale * e for e in datum.extension))
+        for vector in rational.config.points + (rational.extension,):
+            assert all(type(x) is int for x in vector)
+        curve = barth_curve(rational)
+        assert curve == barth_curve(datum)
+        assert verify_darboux(rational.config, curve)
+        assert (darboux_system_dimension(rational.config)
+                == darboux_system_dimension(datum.config) == n)
+
+
+def test_zero_point_is_rejected():
+    with pytest.raises(ValueError):
+        PlaneConfiguration(((0, 0, 0), (1, 0, 0), (0, 1, 0)))
+
+
+def test_sample_datum_and_curve_are_plain_ints():
+    for n in (2, 5, 8):
+        datum = sample_datum(n, seed=1)
+        assert all(type(x) is int for p in datum.config.points for x in p)
+        assert all(type(e) is int for e in datum.extension)
+        curve = barth_curve(datum)
+        assert all(type(c) is int for c in curve.coefficients)
+        assert all(type(curve.evaluate(node)) is int
+                   for node in datum.config.nodes())
+
+
+def test_darboux_form_is_exact_on_integer_data():
+    datum = sample_datum(4, seed=3)
+    for line in monomials(4):
+        value = darboux_form(datum, line)
+        assert type(value) is Fraction
+    # a point whose first coordinate is not 1 needs a true division
+    datum = HulsbergenDatum(PlaneConfiguration(((2, 1, 0), (0, 3, 1), (3, 0, 1))),
+                            (1, 1, 1))
+    value = darboux_form(datum, (1, 1, 1))
+    assert type(value) is Fraction
+    # ell(zhat_i) = 3/2, 4/3, 4/3
+    assert value == Fraction(4, 3) ** 2 + 2 * Fraction(3, 2) * Fraction(4, 3)

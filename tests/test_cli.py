@@ -156,3 +156,18 @@ def test_integrate_negative_m(capsys):
     err = capsys.readouterr().err
     assert "ValueError: m must be nonnegative" in err
     assert "DegreeMismatch" not in err
+
+
+def test_witness_seed_both_spellings(capsys):
+    # the global --seed and the subcommand's --seed set one value
+    for argv in (["--format", "json", "--seed", "7", "witness", "--n", "3"],
+                 ["--format", "json", "witness", "--n", "3", "--seed", "7"]):
+        assert run(argv) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert [r["seed"] for r in record["results"]] == [7]
+    assert run(["--format", "json", "--seed", "2", "witness", "--n", "3",
+                "--seed", "7", "--samples", "2"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert [r["seed"] for r in record["results"]] == [7, 8]
+    assert run(["--format", "json", "witness", "--n", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"][0]["seed"] == 0
