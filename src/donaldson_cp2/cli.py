@@ -9,8 +9,6 @@ JSON because the values routinely exceed 64-bit range.
 import argparse
 import json
 import sys
-import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import barth, verify
@@ -34,17 +32,6 @@ class ParseError(Exception):
         super().__init__(
             f"parse error at offset {offset}: expected {' or '.join(sorted(expected))}"
         )
-
-
-@dataclass(frozen=True)
-class IntegrandExpression:
-    """Parsed form of a product of c1(L)^i and s_k(E*L) tokens."""
-
-    i: int
-    k: int
-
-    def to_spec(self) -> IntegrandSpec:
-        return IntegrandSpec(self.i, self.k)
 
 
 class _Scanner:
@@ -71,7 +58,7 @@ class _Scanner:
         return int(self.text[start:self.pos])
 
 
-def parse_integrand(text: str) -> IntegrandExpression:
+def parse_integrand(text: str) -> IntegrandSpec:
     """Parse expr := term ('*' term)*, term := 'c1(L)' ['^' int]
     | 's' int '(E*L)', with at most one Segre factor.  Exponents of
     repeated c1(L) factors accumulate."""
@@ -107,7 +94,7 @@ def parse_integrand(text: str) -> IntegrandExpression:
             raise ParseError(sc.pos, {"*", "end of input"})
         term()
         sc.skip_ws()
-    return IntegrandExpression(i_total, k_total)
+    return IntegrandSpec(i_total, k_total)
 
 
 def _value_json(value: Fraction) -> dict:
@@ -126,7 +113,8 @@ def _emit(record: dict, fmt: str, text_line: str):
         print(text_line)
 
 
-def _record(command: str, n, value: Fraction, detail, elapsed_s: float) -> dict:
+def _record(command: str, n, value: Fraction, detail) -> dict:
+    """One result as a record; elapsed_ms is the time of its integral."""
     return {
         "command": command,
         "n": n,
@@ -139,16 +127,14 @@ def _record(command: str, n, value: Fraction, detail, elapsed_s: float) -> dict:
             "w2": str(detail.spec_used.w2),
             "seed": detail.spec_used.seed,
         },
-        "elapsed_ms": int(elapsed_s * 1000),
+        "elapsed_ms": int(detail.elapsed_s * 1000),
     }
 
 
 def _cmd_donaldson(args) -> int:
-    t0 = time.perf_counter()
     res = donaldson_q(args.n, seed=args.seed)
     spec = res.detail
-    rec = _record("donaldson", args.n, Fraction(res.q), spec,
-                  time.perf_counter() - t0)
+    rec = _record("donaldson", args.n, Fraction(res.q), spec)
     _emit(rec, args.format,
           f"q_{4 * args.n - 3} = {res.q}  (raw integral {res.raw_integral}, "
           f"prefactor {res.prefactor}, {spec.fixed_point_count} fixed points)")
@@ -156,10 +142,8 @@ def _cmd_donaldson(args) -> int:
 
 
 def _cmd_darboux(args) -> int:
-    t0 = time.perf_counter()
     res = darboux_count(args.n, args.i, seed=args.seed)
-    rec = _record("darboux", args.n, Fraction(res.count), res.detail,
-                  time.perf_counter() - t0)
+    rec = _record("darboux", args.n, Fraction(res.count), res.detail)
     if not res.validated:
         rec["note"] = "unvalidated against the published values (n > 6)"
     _emit(rec, args.format,
@@ -169,10 +153,8 @@ def _cmd_darboux(args) -> int:
 
 
 def _cmd_integrate(args) -> int:
-    t0 = time.perf_counter()
-    expr = parse_integrand(args.expr)
-    res = integrate(args.m, expr.to_spec(), seed=args.seed)
-    rec = _record("integrate", args.m, res.value, res, time.perf_counter() - t0)
+    res = integrate(args.m, parse_integrand(args.expr), seed=args.seed)
+    rec = _record("integrate", args.m, res.value, res)
     _emit(rec, args.format, f"integral over H_{args.m} = {res.value}")
     return 0
 
@@ -180,12 +162,8 @@ def _cmd_integrate(args) -> int:
 def _cmd_table(args) -> int:
     rows = invariant_table(args.n_max, seed=args.seed)
     if args.format == "json":
-        # each row's time is that of its own integral
-        print(json.dumps([
-            _record("table", row.n, Fraction(row.q), row.detail,
-                    row.detail.elapsed_s)
-            for row in rows
-        ]))
+        print(json.dumps([_record("table", row.n, Fraction(row.q), row.detail)
+                          for row in rows]))
     else:
         for row in rows:
             line = f"n={row.n}  q_{4 * row.n - 3} = {row.q}"

@@ -26,6 +26,7 @@ the reference the tests check the chart sum against.
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, lcm
 from operator import mul
 from time import perf_counter
@@ -145,13 +146,15 @@ def integrand_at(fp: FixedPoint, spec: Specialization, integrand: IntegrandSpec,
     return Fraction(lam**integrand.i * s[k], euler)
 
 
+@lru_cache(maxsize=None)
 def _shapes(m: int):
     """For each size 0..m, one entry per partition of that size, in
     enumeration order: (parent, cell, hooks).  The partition is its parent
     (an index into the previous size's list) plus the cell (row, col) at
     the end of its last row; hooks holds (arm, leg) of each of its cells.
-    The empty partition has parent and cell None."""
-    shapes = [[(None, None, ())]]
+    The empty partition has parent and cell None.  Built once per m and
+    shared by every caller, hence tuples throughout."""
+    shapes = [((None, None, ()),)]
     index = {(): 0}
     for size in range(1, m + 1):
         by_size, next_index = [], {}
@@ -162,9 +165,9 @@ def _shapes(m: int):
             next_index[parts] = len(by_size)
             by_size.append((index[parent], (last, parts[last] - 1),
                             tuple((c.arm, c.leg) for c in cells(p))))
-        shapes.append(by_size)
+        shapes.append(tuple(by_size))
         index = next_index
-    return shapes
+    return tuple(shapes)
 
 
 def _chart_table(shapes, frame, w1: int, w2: int, k: int):
@@ -214,15 +217,14 @@ def _convolve(p, q):
 
 
 def fixed_point_sum(m: int, spec: Specialization, integrand: IntegrandSpec,
-                    frames=DEFAULT_FRAMES, shapes=None) -> Fraction:
+                    frames=DEFAULT_FRAMES) -> Fraction:
     """Sum of `integrand_at` over all fixed points of Hilb^m at spec,
     computed chart by chart: one Fraction per triple of chart sizes.
 
     Raises DegenerateSpecialization exactly when some fixed point has a
     vanishing tangent weight.
     """
-    if shapes is None:
-        shapes = _shapes(m)
+    shapes = _shapes(m)
     w1, w2 = spec.w1, spec.w2
     i, k = integrand.i, integrand.k
     tables = [_chart_table(shapes, frame, w1, w2, k) for frame in frames]
@@ -266,8 +268,7 @@ def integrate(m: int, integrand: IntegrandSpec, *, seed: int = 0,
             f"i+k = {integrand.i + integrand.k} exceeds dim Hilb^{m} = {2 * m}"
         )
     t0 = perf_counter()
-    shapes = _shapes(m)
-    counts = [len(by_size) for by_size in shapes]
+    counts = [len(by_size) for by_size in _shapes(m)]
     fixed_points = sum(counts[a] * counts[b] * counts[m - a - b]
                        for a in range(m + 1) for b in range(m - a + 1))
     rng = random.Random(seed)
@@ -276,7 +277,7 @@ def integrate(m: int, integrand: IntegrandSpec, *, seed: int = 0,
         for _ in range(MAX_RESAMPLES):
             spec = sample_specialization(rng, seed)
             try:
-                return fixed_point_sum(m, spec, integrand, frames, shapes), spec
+                return fixed_point_sum(m, spec, integrand, frames), spec
             except DegenerateSpecialization:
                 continue
         raise SpecializationExhausted(

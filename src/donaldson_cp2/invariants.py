@@ -1,9 +1,9 @@
 """Donaldson coefficients of CP^2 and Darboux-configuration counts.
 
-The coefficient q_{4n-3} is obtained from a tautological integral on
-Hilb^{n+1}(P^2) with an exact rational prefactor: 1/2^(5-n) for
-2 <= n <= 5 and 2/5 in the special case n = 6.  Darboux counts are the
-integrals c1(L)^i * s_{2n+2-i}(E tensor L) on Hilb^{n+1}(P^2).
+Darboux counts are the integrals c1(L)^i * s_{2n+2-i}(E tensor L) on
+Hilb^{n+1}(P^2).  The coefficient q_{4n-3} is one of them times an exact
+rational prefactor: 1/2^(5-n) times the count with i = 5-n for
+2 <= n <= 5, and 2/5 times the count with i = 0 in the special case n = 6.
 """
 
 from dataclasses import dataclass
@@ -41,24 +41,19 @@ def _as_integer(value: Fraction, what: str) -> int:
 
 
 def donaldson_q(n: int, *, seed: int = 0) -> DonaldsonResult:
-    """The Donaldson coefficient q_{4n-3} of CP^2, for 2 <= n <= 6.
+    """The Donaldson coefficient q_{4n-3} of CP^2, for 2 <= n <= 6: a
+    prefactor times a Darboux count.  For n <= 5 it is 1/2^(5-n) times
+    darboux_count(n, 5-n); at n = 6 it is 2/5 times darboux_count(6, 0).
 
-    The n = 6 case uses the prefactor 2/5; it is a special case and the
-    formula must not be extrapolated past it.
+    The n = 6 prefactor is a special case and the formula must not be
+    extrapolated past it.
     """
     if not 2 <= n <= 6:
         raise OutOfRange(f"donaldson_q requires 2 <= n <= 6, got {n}")
-    if n <= 5:
-        prefactor = Fraction(1, 2 ** (5 - n))
-        integrand = IntegrandSpec(i=5 - n, k=3 * n - 3)
-    else:
-        prefactor = Fraction(2, 5)
-        integrand = IntegrandSpec(i=0, k=14)
-    result = integrate(n + 1, integrand, seed=seed)
-    raw = result.value
-    _as_integer(raw, f"raw integral for n={n}")
-    q = _as_integer(prefactor * raw, f"q_{4 * n - 3}")
-    return DonaldsonResult(n, q, raw, prefactor, result)
+    prefactor = Fraction(1, 2 ** (5 - n)) if n <= 5 else Fraction(2, 5)
+    row = darboux_count(n, max(5 - n, 0), seed=seed)
+    q = _as_integer(prefactor * row.count, f"q_{4 * n - 3}")
+    return DonaldsonResult(n, q, row.detail.value, prefactor, row.detail)
 
 
 def darboux_count(n: int, i: int, *, seed: int = 0) -> DarbouxCount:

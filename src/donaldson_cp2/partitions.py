@@ -55,13 +55,10 @@ def cells(p: Partition) -> list[Cell]:
     same column.
     """
     parts = p.parts
-    out = []
-    for r, pr in enumerate(parts):
-        for c in range(pr):
-            arm = pr - c - 1
-            leg = sum(1 for r2 in range(r + 1, len(parts)) if parts[r2] > c)
-            out.append(Cell(r, c, arm, leg))
-    return out
+    # heights[c]: the number of rows longer than c, the height of column c
+    heights = [sum(pr > c for pr in parts) for c in range(parts[0] if parts else 0)]
+    return [Cell(r, c, pr - c - 1, heights[c] - r - 1)
+            for r, pr in enumerate(parts) for c in range(pr)]
 
 
 @lru_cache(maxsize=None)

@@ -3,7 +3,9 @@ import time
 
 import pytest
 
+from donaldson_cp2 import engine
 from donaldson_cp2.cli import ParseError, parse_integrand, run
+from donaldson_cp2.engine import IntegrandSpec
 
 
 def test_parse_segre_only():
@@ -12,8 +14,7 @@ def test_parse_segre_only():
 
 
 def test_parse_product():
-    expr = parse_integrand("c1(L)^2 * s2(E*L)")
-    assert (expr.i, expr.k) == (2, 2)
+    assert parse_integrand("c1(L)^2 * s2(E*L)") == IntegrandSpec(2, 2)
 
 
 def test_parse_c1_without_exponent():
@@ -80,6 +81,19 @@ def test_json_output_schema(capsys):
     assert record["fixed_points"] == 22
     assert set(record["spec"]) == {"w1", "w2", "seed"}
     assert isinstance(record["elapsed_ms"], int)
+
+
+@pytest.mark.parametrize("argv", [
+    ["integrate", "--m", "3", "--expr", "c1(L)^3 * s3(E*L)"],
+    ["darboux", "--n", "2", "--i", "3"],
+    ["donaldson", "--n", "3"],
+])
+def test_json_elapsed_ms_is_the_integral_time(monkeypatch, capsys, argv):
+    # the integral starts its clock at 10 s and stops it at 10.25 s
+    ticks = iter([10.0, 10.25])
+    monkeypatch.setattr(engine, "perf_counter", lambda: next(ticks))
+    assert run(["--format", "json", *argv]) == 0
+    assert json.loads(capsys.readouterr().out)["elapsed_ms"] == 250
 
 
 def test_json_darboux(capsys):

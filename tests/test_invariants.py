@@ -64,6 +64,14 @@ def test_cross_identity_small():
         assert 2 ** (5 - n) * donaldson_q(n).q == darboux_count(n, 5 - n).count
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_donaldson_is_a_prefactor_on_a_darboux_count(n):
+    res = donaldson_q(n)
+    row = darboux_count(n, max(5 - n, 0))
+    assert res.detail == row.detail
+    assert res.q == res.prefactor * row.count
+
+
 def test_invariant_table_rows():
     rows = invariant_table(4)
     assert [(r.n, r.q) for r in rows] == [(2, 1), (3, 3), (4, 54)]
