@@ -1,8 +1,8 @@
 """Exact Donaldson invariants of CP^2 and Darboux-configuration counts,
 computed by torus localization on Hilbert schemes of points, plus an
-independent determinantal-curve witness over exact rationals."""
+independent determinantal-curve witness over the integers."""
 
-from .engine import IntegrandSpec, IntegralResult, integrate
+from .engine import IntegrandSpec, IntegralResult, integrate, integrate_many
 from .invariants import (
     DarbouxCount,
     DonaldsonResult,
@@ -17,6 +17,7 @@ __all__ = [
     "IntegrandSpec",
     "IntegralResult",
     "integrate",
+    "integrate_many",
     "DarbouxCount",
     "DonaldsonResult",
     "OutOfRange",

@@ -188,6 +188,11 @@ def _cmd_witness(args) -> int:
         print(json.dumps({"command": "witness", "n": args.n,
                           "samples": args.samples, "all_verified": all_ok,
                           "results": results}))
+    elif args.format == "csv":
+        keys = ["seed", "verified", "degree", "system_dimension"]
+        print(",".join(keys))
+        for r in results:
+            print(",".join(str(r[key]) for key in keys))
     else:
         for r in results:
             print(f"seed {r['seed']}: degree {r['degree']}, "

@@ -21,6 +21,14 @@ the rank-m shift by lambda of the product of three chart series
 sum_{mu |- size} h(e^mu) / euler_mu, each of which depends on the chart
 and the size alone.  `integrand_at` keeps the per-fixed-point summand as
 the reference the tests check the chart sum against.
+
+The unit of work is one pass over Hilb^m: `integrate_many` evaluates any
+number of integrands on one m from one set of chart tables per
+specialization, built up to the largest k.  Each integral is a different
+linear functional on the same per-triple series, so the tables, the
+series products and the shift for each distinct k are shared, and every
+sum is one integer numerator over the common denominator of the triples.
+`integrate` is the one-integrand pass.
 """
 
 import random
@@ -216,79 +224,105 @@ def _convolve(p, q):
     return [sum(map(mul, p[:l + 1], q[l::-1])) for l in range(len(p))]
 
 
-def fixed_point_sum(m: int, spec: Specialization, integrand: IntegrandSpec,
-                    frames=DEFAULT_FRAMES) -> Fraction:
-    """Sum of `integrand_at` over all fixed points of Hilb^m at spec,
-    computed chart by chart: one Fraction per triple of chart sizes.
+def fixed_point_sum(m: int, spec: Specialization, integrands,
+                    frames=DEFAULT_FRAMES) -> tuple[Fraction, ...]:
+    """Sum of `integrand_at` over all fixed points of Hilb^m at spec, one
+    value per integrand, computed chart by chart.
 
-    Raises DegenerateSpecialization exactly when some fixed point has a
-    vanishing tangent weight.
+    The chart tables are built once, up to the largest k, and the chart
+    series are multiplied once per triple of chart sizes; the shift by
+    lambda is taken once per distinct k.  Each integral is one integer
+    numerator over the common denominator of all triples, so the pass
+    ends in one Fraction per integrand.  Raises DegenerateSpecialization
+    exactly when some fixed point has a vanishing tangent weight.
     """
     shapes = _shapes(m)
     w1, w2 = spec.w1, spec.w2
-    i, k = integrand.i, integrand.k
-    tables = [_chart_table(shapes, frame, w1, w2, k) for frame in frames]
+    k_max = max((integrand.k for integrand in integrands), default=0)
+    tables = [_chart_table(shapes, frame, w1, w2, k_max) for frame in frames]
     lines = [frame.line_weight.evaluate(w1, w2) for frame in frames]
     # s_k of the rank-m sum shifted by lambda is sum_l C(m-1+k, k-l)
     # lambda^(k-l) h_l, taken by Horner; the l = k binomial is written
     # as 1 because comb(-1, 0) raises at m = 0
-    shift = [comb(m + k - 1, k - l) for l in range(k)] + [1]
-    total = Fraction(0)
-    for a in range(m + 1):
-        den_a, h_a = tables[0][a]
-        for b in range(m - a + 1):
-            c = m - a - b
-            lam = a * lines[0] + b * lines[1] + c * lines[2]
-            if lam == 0 and i:
-                continue
-            den_b, h_b = tables[1][b]
-            den_c, h_c = tables[2][c]
-            h = _convolve(_convolve(h_a, h_b), h_c)
+    shifts = {k: [comb(m + k - 1, k - l) for l in range(k)] + [1]
+              for k in {integrand.k for integrand in integrands}}
+    triples = [(tables[0][a], tables[1][b], tables[2][m - a - b],
+                a * lines[0] + b * lines[1] + (m - a - b) * lines[2])
+               for a in range(m + 1) for b in range(m - a + 1)]
+    denominator = lcm(*(den_a * den_b * den_c
+                        for (den_a, _), (den_b, _), (den_c, _), _ in triples))
+    numerators = [0] * len(integrands)
+    for (den_a, h_a), (den_b, h_b), (den_c, h_c), lam in triples:
+        h = _convolve(_convolve(h_a, h_b), h_c)
+        scale = denominator // (den_a * den_b * den_c)
+        s = {}
+        for k, shift in shifts.items():
             s_k = 0
             for coeff, h_l in zip(shift, h):
                 s_k = s_k * lam + coeff * h_l
-            total += Fraction(lam**i * s_k, den_a * den_b * den_c)
-    return total
+            s[k] = scale * s_k
+        for j, integrand in enumerate(integrands):
+            numerators[j] += lam**integrand.i * s[integrand.k]
+    return tuple(Fraction(numerator, denominator) for numerator in numerators)
 
 
-def integrate(m: int, integrand: IntegrandSpec, *, seed: int = 0,
-              frames=DEFAULT_FRAMES) -> IntegralResult:
-    """Integrate c1(L)^i * s_k(E tensor L) over Hilb^m(P^2) exactly.
+def integrate_many(m: int, integrands, *, seed: int = 0,
+                   frames=DEFAULT_FRAMES) -> tuple[IntegralResult, ...]:
+    """Integrate every c1(L)^i * s_k(E tensor L) in integrands over
+    Hilb^m(P^2) exactly, in one pass: one fixed-point sum per
+    specialization gives all of them.
 
-    Requires i + k <= 2m; for i + k < 2m the value is 0 by degree
-    reasons, which the summation confirms.  The sum is evaluated under
-    two independently sampled specializations and must agree.
+    Each integrand requires i + k <= 2m; for i + k < 2m the value is 0
+    by degree reasons, which the summation confirms.  The sums are
+    evaluated under two independently sampled specializations and must
+    agree.  Whether a specialization is degenerate depends on m alone, so
+    each result carries the specializations and the fixed-point count
+    that `integrate` of its integrand alone would, and the time of the
+    whole pass.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    if integrand.i < 0 or integrand.k < 0:
-        raise ValueError("integrand exponents must be nonnegative")
-    if integrand.i + integrand.k > 2 * m:
-        raise DegreeMismatch(
-            f"i+k = {integrand.i + integrand.k} exceeds dim Hilb^{m} = {2 * m}"
-        )
+    integrands = tuple(integrands)
+    for integrand in integrands:
+        if integrand.i < 0 or integrand.k < 0:
+            raise ValueError("integrand exponents must be nonnegative")
+        if integrand.i + integrand.k > 2 * m:
+            raise DegreeMismatch(
+                f"i+k = {integrand.i + integrand.k} exceeds dim Hilb^{m} = {2 * m}"
+            )
     t0 = perf_counter()
     counts = [len(by_size) for by_size in _shapes(m)]
     fixed_points = sum(counts[a] * counts[b] * counts[m - a - b]
                        for a in range(m + 1) for b in range(m - a + 1))
     rng = random.Random(seed)
 
-    def evaluate() -> tuple[Fraction, Specialization]:
+    def evaluate() -> tuple[tuple[Fraction, ...], Specialization]:
         for _ in range(MAX_RESAMPLES):
             spec = sample_specialization(rng, seed)
             try:
-                return fixed_point_sum(m, spec, integrand, frames), spec
+                return fixed_point_sum(m, spec, integrands, frames), spec
             except DegenerateSpecialization:
                 continue
         raise SpecializationExhausted(
             f"no generic specialization found in {MAX_RESAMPLES} draws (m={m})"
         )
 
-    value, spec_used = evaluate()
-    check_value, check_spec = evaluate()
-    if value != check_value:
-        raise ArithmeticError(
-            f"specialization cross-check failed: {value} != {check_value}"
-        )
-    return IntegralResult(value, m, integrand, spec_used, check_spec,
-                          fixed_points, perf_counter() - t0)
+    values, spec_used = evaluate()
+    check_values, check_spec = evaluate()
+    for integrand, value, check_value in zip(integrands, values, check_values):
+        if value != check_value:
+            raise ArithmeticError(
+                f"specialization cross-check failed for {integrand}: "
+                f"{value} != {check_value}"
+            )
+    elapsed_s = perf_counter() - t0
+    return tuple(IntegralResult(value, m, integrand, spec_used, check_spec,
+                                fixed_points, elapsed_s)
+                 for integrand, value in zip(integrands, values))
+
+
+def integrate(m: int, integrand: IntegrandSpec, *, seed: int = 0,
+              frames=DEFAULT_FRAMES) -> IntegralResult:
+    """Integrate c1(L)^i * s_k(E tensor L) over Hilb^m(P^2) exactly: the
+    one-integrand case of `integrate_many`."""
+    return integrate_many(m, (integrand,), seed=seed, frames=frames)[0]

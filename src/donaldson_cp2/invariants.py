@@ -9,7 +9,7 @@ rational prefactor: 1/2^(5-n) times the count with i = 5-n for
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .engine import IntegralResult, IntegrandSpec, integrate
+from .engine import IntegralResult, IntegrandSpec, integrate, integrate_many
 
 
 class OutOfRange(Exception):
@@ -40,6 +40,34 @@ def _as_integer(value: Fraction, what: str) -> int:
     return value.numerator
 
 
+def _donaldson_rule(n: int) -> tuple[int, Fraction]:
+    """The Darboux row (its i) behind q_{4n-3} and the prefactor on it."""
+    if not 2 <= n <= 6:
+        raise OutOfRange(f"donaldson_q requires 2 <= n <= 6, got {n}")
+    if n <= 5:
+        return 5 - n, Fraction(1, 2 ** (5 - n))
+    return 0, Fraction(2, 5)
+
+
+def _donaldson_result(n: int, prefactor: Fraction, row: DarbouxCount) -> DonaldsonResult:
+    q = _as_integer(prefactor * row.count, f"q_{4 * n - 3}")
+    return DonaldsonResult(n, q, row.detail.value, prefactor, row.detail)
+
+
+def _darboux_integrand(n: int, i: int) -> IntegrandSpec:
+    """The integrand c1(L)^i * s_{2n+2-i}(E tensor L) on Hilb^{n+1}."""
+    if n < 2:
+        raise OutOfRange(f"darboux_count requires n >= 2, got {n}")
+    if not 0 <= i <= 2 * n + 2:
+        raise OutOfRange(f"darboux_count requires 0 <= i <= {2 * n + 2}, got {i}")
+    return IntegrandSpec(i=i, k=2 * n + 2 - i)
+
+
+def _darboux_result(n: int, i: int, result: IntegralResult) -> DarbouxCount:
+    count = _as_integer(result.value, f"darboux count (n={n}, i={i})")
+    return DarbouxCount(n, i, count, validated=n <= 6, detail=result)
+
+
 def donaldson_q(n: int, *, seed: int = 0) -> DonaldsonResult:
     """The Donaldson coefficient q_{4n-3} of CP^2, for 2 <= n <= 6: a
     prefactor times a Darboux count.  For n <= 5 it is 1/2^(5-n) times
@@ -48,35 +76,41 @@ def donaldson_q(n: int, *, seed: int = 0) -> DonaldsonResult:
     The n = 6 prefactor is a special case and the formula must not be
     extrapolated past it.
     """
-    if not 2 <= n <= 6:
-        raise OutOfRange(f"donaldson_q requires 2 <= n <= 6, got {n}")
-    prefactor = Fraction(1, 2 ** (5 - n)) if n <= 5 else Fraction(2, 5)
-    row = darboux_count(n, max(5 - n, 0), seed=seed)
-    q = _as_integer(prefactor * row.count, f"q_{4 * n - 3}")
-    return DonaldsonResult(n, q, row.detail.value, prefactor, row.detail)
+    i, prefactor = _donaldson_rule(n)
+    return _donaldson_result(n, prefactor, darboux_count(n, i, seed=seed))
 
 
 def darboux_count(n: int, i: int, *, seed: int = 0) -> DarbouxCount:
     """Number of Darboux configurations (Pi, C) with the (n+1)-gon Pi
     through i given points and the degree-n curve C through 3n+2-i given
     points, counted on the compactification."""
-    if n < 2:
-        raise OutOfRange(f"darboux_count requires n >= 2, got {n}")
-    if not 0 <= i <= 2 * n + 2:
-        raise OutOfRange(f"darboux_count requires 0 <= i <= {2 * n + 2}, got {i}")
-    result = integrate(n + 1, IntegrandSpec(i=i, k=2 * n + 2 - i), seed=seed)
-    count = _as_integer(result.value, f"darboux count (n={n}, i={i})")
-    return DarbouxCount(n, i, count, validated=n <= 6, detail=result)
+    result = integrate(n + 1, _darboux_integrand(n, i), seed=seed)
+    return _darboux_result(n, i, result)
 
 
 def invariant_table(n_max: int, *, darboux_n: tuple[int, ...] = (),
                     seed: int = 0):
     """Donaldson rows for 2 <= n <= n_max, plus full Darboux rows (all i)
-    for each n listed in darboux_n.  Deterministic for a fixed seed."""
+    for each n listed in darboux_n.  Deterministic for a fixed seed, and
+    row for row the same as donaldson_q and darboux_count with that seed.
+
+    The rows are grouped by m = n + 1 and each Hilb^m is integrated in
+    one pass; a Donaldson row shares the integral of its Darboux row.
+    """
     if not 2 <= n_max <= 6:
         raise OutOfRange(f"invariant_table requires 2 <= n_max <= 6, got {n_max}")
-    rows: list = [donaldson_q(n, seed=seed) for n in range(2, n_max + 1)]
-    for n in darboux_n:
-        for i in range(2 * n + 3):
-            rows.append(darboux_count(n, i, seed=seed))
-    return rows
+    donaldson = [(n, *_donaldson_rule(n)) for n in range(2, n_max + 1)]
+    needed = [(n, i) for n, i, _ in donaldson]
+    needed += [(n, i) for n in darboux_n for i in range(2 * n + 3)]
+    by_m: dict[int, dict[IntegrandSpec, None]] = {}
+    for n, i in needed:
+        by_m.setdefault(n + 1, {})[_darboux_integrand(n, i)] = None
+    results = {}
+    for m, integrands in by_m.items():
+        results.update(((m, result.integrand), result)
+                       for result in integrate_many(m, integrands, seed=seed))
+    rows = [_darboux_result(n, i, results[n + 1, _darboux_integrand(n, i)])
+            for n, i in needed]
+    return ([_donaldson_result(n, prefactor, row)
+             for (n, _, prefactor), row in zip(donaldson, rows)]
+            + rows[len(donaldson):])

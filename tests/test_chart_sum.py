@@ -4,15 +4,18 @@ weight forms and inverts its Chern series."""
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 from donaldson_cp2.engine import (
+    DegreeMismatch,
     IntegrandSpec,
     Specialization,
     fixed_point_sum,
     integrand_at,
     integrate,
+    integrate_many,
     sample_specialization,
 )
 from donaldson_cp2.partitions import enumerate_fixed_points
@@ -60,6 +63,16 @@ def reference_table(fps, spec, m, frames):
     return table
 
 
+@lru_cache(maxsize=None)
+def reference_run(m, frames_name):
+    """The specializations `integrate` must pick at seed 100 + m, and
+    reference_table at the first of them."""
+    frames = FRAMES[frames_name]
+    fps = enumerate_fixed_points(m)
+    specs = reference_specs(fps, 100 + m, frames)
+    return specs, len(fps), reference_table(fps, specs[0], m, frames)
+
+
 def test_reference_table_is_the_plain_sum():
     fps = enumerate_fixed_points(3)
     spec = Specialization(5, -7, seed=0)
@@ -73,16 +86,43 @@ def test_reference_table_is_the_plain_sum():
 @pytest.mark.parametrize("m", range(7))
 def test_integrate_matches_per_fixed_point_sum(m, frames_name):
     frames = FRAMES[frames_name]
-    fps = enumerate_fixed_points(m)
-    seed = 100 + m
-    specs = reference_specs(fps, seed, frames)
-    want = reference_table(fps, specs[0], m, frames)
+    specs, count, want = reference_run(m, frames_name)
     for i in range(2 * m + 1):
         for k in range(2 * m + 1 - i):
-            res = integrate(m, IntegrandSpec(i, k), seed=seed, frames=frames)
+            res = integrate(m, IntegrandSpec(i, k), seed=100 + m, frames=frames)
             assert [res.spec_used, res.cross_check_spec] == specs
-            assert res.fixed_point_count == len(fps)
+            assert res.fixed_point_count == count
             assert res.value == want[i, k], (m, i, k)
+
+
+@pytest.mark.parametrize("frames_name", sorted(FRAMES))
+@pytest.mark.parametrize("m", range(7))
+def test_integrate_many_is_the_reference_table_in_one_pass(m, frames_name):
+    specs, count, want = reference_run(m, frames_name)
+    integrands = [IntegrandSpec(i, k) for i in range(2 * m + 1)
+                  for k in range(2 * m + 1 - i)]
+    results = integrate_many(m, integrands, seed=100 + m, frames=FRAMES[frames_name])
+    assert [res.integrand for res in results] == integrands
+    for res in results:
+        assert [res.spec_used, res.cross_check_spec] == specs
+        assert res.fixed_point_count == count
+        assert res.value == want[res.integrand.i, res.integrand.k], (m, res.integrand)
+    assert len({res.elapsed_s for res in results}) == 1
+
+
+def test_integrate_many_validates_every_integrand():
+    with pytest.raises(DegreeMismatch):
+        integrate_many(2, [IntegrandSpec(0, 4), IntegrandSpec(3, 2)])
+    with pytest.raises(ValueError, match="exponents"):
+        integrate_many(2, [IntegrandSpec(0, 4), IntegrandSpec(-1, 2)])
+
+
+def test_one_sum_answers_each_integrand_as_alone():
+    spec = Specialization(5, -7, seed=0)
+    integrands = [IntegrandSpec(0, 6), IntegrandSpec(2, 1), IntegrandSpec(6, 0),
+                  IntegrandSpec(0, 6), IntegrandSpec(1, 0)]
+    alone = [fixed_point_sum(3, spec, (integrand,))[0] for integrand in integrands]
+    assert fixed_point_sum(3, spec, integrands) == tuple(alone)
 
 
 @pytest.mark.parametrize("frames_name", sorted(FRAMES))
@@ -97,9 +137,10 @@ def test_degenerate_specializations_match_reference(m, w, frames_name):
         want = reference_sum(enumerate_fixed_points(m), spec, integrand, frames)
     except DegenerateSpecialization:
         with pytest.raises(DegenerateSpecialization):
-            fixed_point_sum(m, spec, integrand, frames)
+            fixed_point_sum(m, spec, (integrand,), frames)
     else:
-        assert fixed_point_sum(m, spec, integrand, frames) == want
+        (value,) = fixed_point_sum(m, spec, (integrand,), frames)
+        assert value == want
 
 
 def test_degenerate_examples_cover_both_outcomes():
@@ -107,7 +148,7 @@ def test_degenerate_examples_cover_both_outcomes():
     for w in [(1, 2), (2, 3)]:
         for m in (3, 5):
             try:
-                fixed_point_sum(m, Specialization(*w, seed=0), IntegrandSpec(0, 0))
+                fixed_point_sum(m, Specialization(*w, seed=0), (IntegrandSpec(0, 0),))
                 outcomes.add(False)
             except DegenerateSpecialization:
                 outcomes.add(True)

@@ -138,6 +138,14 @@ def test_witness_json(capsys):
     assert record["results"][0]["system_dimension"] == 3
 
 
+def test_witness_csv(capsys):
+    assert run(["--format", "csv", "witness", "--n", "3", "--seed", "4",
+                "--samples", "2"]) == 0
+    out = capsys.readouterr().out.strip().splitlines()
+    assert out == ["seed,verified,degree,system_dimension",
+                   "4,True,3,3", "5,True,3,3"]
+
+
 def test_seed_flag_changes_specialization(capsys):
     assert run(["--format", "json", "--seed", "1", "integrate", "--m", "2",
                 "--expr", "s4(E*L)"]) == 0

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from donaldson_cp2 import engine
+from donaldson_cp2.engine import integrate
 from donaldson_cp2.invariants import (
     DarbouxCount,
     DonaldsonResult,
@@ -89,3 +91,44 @@ def test_invariant_table_with_darboux_rows():
 def test_invariant_table_out_of_range():
     with pytest.raises(OutOfRange):
         invariant_table(7)
+
+
+PAPER_TABLE = dict(n_max=6, darboux_n=(2, 3, 4, 5))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5, 11])
+def test_invariant_table_rows_are_standalone_integrals(seed):
+    rows = invariant_table(**PAPER_TABLE, seed=seed)
+    for row in rows:
+        alone = integrate(row.detail.m, row.detail.integrand, seed=seed)
+        assert (row.detail.value, row.detail.spec_used, row.detail.cross_check_spec,
+                row.detail.fixed_point_count) == \
+            (alone.value, alone.spec_used, alone.cross_check_spec,
+             alone.fixed_point_count)
+    # one pass per m: the Donaldson row holds its Darboux row's very
+    # result, and every result on one m carries the time of that pass
+    darboux = {(r.n, r.i): r.detail for r in rows if isinstance(r, DarbouxCount)}
+    for row in rows:
+        if isinstance(row, DonaldsonResult) and row.n <= 5:
+            assert row.detail is darboux[row.n, 5 - row.n]
+    for m in {row.detail.m for row in rows}:
+        assert len({row.detail.elapsed_s for row in rows if row.detail.m == m}) == 1
+
+
+def test_invariant_table_builds_chart_tables_once_per_m(monkeypatch):
+    builds = []
+    chart_table = engine._chart_table
+
+    def counted(*args):
+        builds.append(args)
+        return chart_table(*args)
+
+    monkeypatch.setattr(engine, "_chart_table", counted)
+    invariant_table(**PAPER_TABLE)
+    # 3 charts x 2 specializations x 5 distinct m (Hilb^3..Hilb^7)
+    assert len(builds) == 30
+
+
+def test_invariant_table_rejects_bad_darboux_n():
+    with pytest.raises(OutOfRange):
+        invariant_table(3, darboux_n=(1,))
