@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 
-from .linalg import bareiss_det, bareiss_rank, clear_denominators
+from .linalg import bareiss_det, clear_denominators, rank
 
 Point = tuple[int, int, int]
 
@@ -225,9 +225,12 @@ def verify_darboux(config: PlaneConfiguration, curve: PlaneCurve) -> bool:
 
 def darboux_system_dimension(config: PlaneConfiguration) -> int:
     """Projective dimension of the system of degree-n dual-plane curves
-    through all nodes, by exact rank of the node-evaluation matrix."""
+    through all nodes, by the exact rank of the node-evaluation matrix.
+    The expected rank is full row rank, n(n+1)/2, which a rank modulo
+    one prime certifies; only a configuration whose matrix loses rank
+    modulo that prime is ranked by Bareiss elimination over Z."""
     n = config.n
     mons = monomials(n)
     rows = [[node[0] ** i * node[1] ** j * node[2] ** k for (i, j, k) in mons]
             for node in config.nodes()]
-    return len(mons) - 1 - bareiss_rank(rows)
+    return len(mons) - 1 - rank(rows)

@@ -101,14 +101,22 @@ def _value_json(value: Fraction) -> dict:
     return {"num": str(value.numerator), "den": str(value.denominator)}
 
 
+CSV_KEYS = ("command", "n", "i", "k", "value", "fixed_points")
+
+
+def _print_csv(records):
+    """One header row, then one row per record, in the CSV_KEYS columns."""
+    print(",".join(CSV_KEYS))
+    for record in records:
+        flat = dict(record, value=f"{record['value']['num']}/{record['value']['den']}")
+        print(",".join(str(flat[key]) for key in CSV_KEYS))
+
+
 def _emit(record: dict, fmt: str, text_line: str):
     if fmt == "json":
         print(json.dumps(record))
     elif fmt == "csv":
-        keys = ["command", "n", "i", "k", "value", "fixed_points"]
-        flat = dict(record)
-        flat["value"] = f"{record['value']['num']}/{record['value']['den']}"
-        print(",".join(str(flat.get(key, "")) for key in keys))
+        _print_csv([record])
     else:
         print(text_line)
 
@@ -161,15 +169,14 @@ def _cmd_integrate(args) -> int:
 
 def _cmd_table(args) -> int:
     rows = invariant_table(args.n_max, seed=args.seed)
+    records = [_record("table", row.n, Fraction(row.q), row.detail) for row in rows]
     if args.format == "json":
-        print(json.dumps([_record("table", row.n, Fraction(row.q), row.detail)
-                          for row in rows]))
+        print(json.dumps(records))
+    elif args.format == "csv":
+        _print_csv(records)
     else:
         for row in rows:
-            line = f"n={row.n}  q_{4 * row.n - 3} = {row.q}"
-            if args.format == "csv":
-                line = f"{row.n},{4 * row.n - 3},{row.q}"
-            print(line)
+            print(f"n={row.n}  q_{4 * row.n - 3} = {row.q}")
     return 0
 
 

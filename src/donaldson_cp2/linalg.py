@@ -1,7 +1,11 @@
-"""Exact linear algebra over the integers: fraction-free elimination."""
+"""Exact linear algebra over the integers: fraction-free Bareiss
+elimination for determinants and ranks, and a rank certified modulo a
+prime that falls back to Bareiss when the certificate fails."""
 
 from fractions import Fraction
 from math import lcm
+
+P = 2**61 - 1  # a Mersenne prime
 
 
 def clear_denominators(row) -> list[int]:
@@ -52,3 +56,42 @@ def bareiss_det(matrix) -> int:
         raise ValueError("matrix must be square")
     rank, sign, last = _eliminate(matrix)
     return sign * last if rank == len(matrix) else 0
+
+
+def _rank_mod_p(matrix) -> int:
+    """Rank of an integer matrix reduced modulo P, by Gaussian elimination
+    over F_P."""
+    m = [[x % P for x in row] for row in matrix]
+    rows = len(m)
+    cols = len(m[0]) if m else 0
+    rank = 0
+    for c in range(cols):
+        if rank == rows:
+            break
+        pivot = next((j for j in range(rank, rows) if m[j][c]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inverse = pow(m[rank][c], -1, P)
+        top = [x * inverse % P for x in m[rank][c + 1:]]
+        for j in range(rank + 1, rows):
+            f = m[j][c]
+            if f:
+                m[j][c + 1:] = [(x - f * t) % P for x, t in zip(m[j][c + 1:], top)]
+        rank += 1
+    return rank
+
+
+def rank(matrix) -> int:
+    """Exact rank of an integer matrix.
+
+    Reduction modulo P is a ring map, so every minor that vanishes over Z
+    vanishes modulo P, and the rank modulo P is at most the rank over Q,
+    which is at most min(rows, cols).  A full rank modulo P is therefore
+    the exact rank; anything less falls back to Bareiss elimination over Z,
+    so the result never depends on the choice of P.
+    """
+    full = min(len(matrix), len(matrix[0]) if matrix else 0)
+    if _rank_mod_p(matrix) == full:
+        return full
+    return bareiss_rank(matrix)

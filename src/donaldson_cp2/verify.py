@@ -86,7 +86,7 @@ def check_fixed_point_counts():
 
 
 def check_barth_witness():
-    for n in range(2, 10):
+    for n in range(2, 12):
         for seed in range(20):
             datum = barth.sample_datum(n, seed)
             curve = barth.barth_curve(datum)
@@ -99,7 +99,7 @@ def check_barth_witness():
             dim = barth.darboux_system_dimension(config)
             if dim != n:
                 return False, f"system dimension {dim} != {n} at seed {1000 + seed}"
-    return True, "degree, incidence and system dimension correct for n=2..9"
+    return True, "degree, incidence and system dimension correct for n=2..11"
 
 
 def darboux_form(datum, line) -> Fraction:

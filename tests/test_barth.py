@@ -18,7 +18,8 @@ from donaldson_cp2.barth import (
     sample_datum,
     verify_darboux,
 )
-from donaldson_cp2.linalg import bareiss_det, bareiss_rank, clear_denominators
+from donaldson_cp2 import linalg
+from donaldson_cp2.linalg import P, bareiss_det, bareiss_rank, clear_denominators, rank
 from donaldson_cp2.verify import darboux_form
 
 
@@ -85,6 +86,67 @@ def test_bareiss_rank_against_fraction_elimination():
                     work[r][cc] -= f * work[rank][cc]
             rank += 1
         assert bareiss_rank(m) == rank
+
+
+def test_rank_equals_bareiss_rank():
+    rng = random.Random(17)
+    shapes, deficient = set(), 0
+    for _ in range(150):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        bound = rng.choice([1, 9, 2**40, 2**90])
+        m = [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
+        if rows > 1 and rng.random() < 0.5:
+            # one row a combination of the others
+            a = rng.randrange(rows)
+            b, c = (rng.choice([r for r in range(rows) if r != a]) for _ in range(2))
+            m[a] = [5 * x - 7 * y for x, y in zip(m[b], m[c])]
+        want = bareiss_rank(m)
+        assert rank(m) == want
+        shapes.add((rows > cols) - (rows < cols))
+        deficient += want < min(rows, cols)
+    assert shapes == {-1, 0, 1}  # wide, square and tall matrices
+    assert deficient >= 30
+
+
+@pytest.mark.parametrize("matrix,want", [
+    ([[P, 0], [0, 1]], 2),
+    ([[P, 2 * P], [3 * P, 5 * P]], 2),
+    ([[1, 2, 3], [P + 1, 2, 3]], 2),
+    ([[P, 0, 0], [0, P, 0], [0, 0, P]], 3),
+    ([[2 * P, 0], [0, 0]], 1),
+])
+def test_rank_of_matrices_singular_mod_p(matrix, want):
+    # singular modulo P but not over Q: the modular rank is too low, and
+    # only the fallback to Bareiss gives the exact rank
+    assert rank(matrix) == want
+
+
+def test_generic_system_rank_needs_no_bareiss(monkeypatch):
+    # full rank modulo P certifies the rank of a generic configuration
+    def no_bareiss(matrix):
+        raise AssertionError("Bareiss elimination ran")
+
+    monkeypatch.setattr(linalg, "_eliminate", no_bareiss)
+    for n in range(2, 10):
+        for seed in range(3):
+            assert darboux_system_dimension(sample_configuration(n, seed)) == n
+
+
+def test_concurrent_dual_lines_fall_back_to_bareiss(monkeypatch):
+    # three collinear points make three dual lines concurrent, so two nodes
+    # coincide and the node matrix loses rank over Q, not just modulo P
+    calls = []
+    exact = linalg.bareiss_rank
+
+    def counted(matrix):
+        calls.append(len(matrix))
+        return exact(matrix)
+
+    monkeypatch.setattr(linalg, "bareiss_rank", counted)
+    config = PlaneConfiguration(((0, 0, 1), (1, 0, 1), (2, 0, 1), (0, 1, 1), (3, 5, 1)))
+    assert not config.is_generic()
+    assert darboux_system_dimension(config) == 6
+    assert calls == [10]
 
 
 def test_bareiss_det_against_fraction_elimination():

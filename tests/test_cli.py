@@ -108,7 +108,21 @@ def test_table_text_and_csv(capsys):
     assert "q_5 = 1" in out and "q_9 = 3" in out and "q_13 = 54" in out
     assert run(["--format", "csv", "table", "--n-max", "3"]) == 0
     out = capsys.readouterr().out.strip().splitlines()
-    assert out == ["2,5,1", "3,9,3"]
+    assert out == ["command,n,i,k,value,fixed_points",
+                   "table,2,3,3,1/1,22", "table,3,2,6,3/1,51"]
+
+
+@pytest.mark.parametrize("argv,rows", [
+    (["donaldson", "--n", "3"], ["donaldson,3,2,6,3/1,51"]),
+    (["darboux", "--n", "2", "--i", "3"], ["darboux,2,3,3,8/1,22"]),
+    (["integrate", "--m", "3", "--expr", "c1(L)^3 * s3(E*L)"],
+     ["integrate,3,3,3,8/1,22"]),
+    (["table", "--n-max", "2"], ["table,2,3,3,1/1,22"]),
+])
+def test_csv_has_one_header_and_one_column_set(capsys, argv, rows):
+    assert run(["--format", "csv", *argv]) == 0
+    out = capsys.readouterr().out.strip().splitlines()
+    assert out == ["command,n,i,k,value,fixed_points", *rows]
 
 
 def test_table_json_rows_carry_their_integrand(capsys):
