@@ -157,17 +157,21 @@ def sample_datum(n: int, seed: int) -> HulsbergenDatum:
             return HulsbergenDatum(config, ext)
 
 
-def _expand_product(forms) -> list:
-    """Coefficients, in monomials(len(forms)) order, of the product of
-    the linear forms given by their coefficient triples."""
-    poly = {(0, 0, 0): 1}
-    for form in forms:
-        product: dict = {}
-        for (i, j, k), c in poly.items():
-            for exp, a in zip(((i + 1, j, k), (i, j + 1, k), (i, j, k + 1)), form):
-                product[exp] = product.get(exp, 0) + c * a
-        poly = product
-    return [poly.get(exp, 0) for exp in monomials(len(forms))]
+def _times_linear(form, degree: int, line) -> list:
+    """A form of the given degree times a linear form, as coefficient
+    lists in monomials order; the empty list is the zero form of degree
+    -1.  A monomial's place depends only on its x1 and x2 exponents: x0
+    keeps it, and x1 and x2 move it from the block of x1 + x2 degree e
+    into block e + 1."""
+    a, b, c = line
+    out = [a * v for v in form] + [0] * (degree + 2)
+    start = 0
+    for e in range(degree + 1):
+        for idx in range(start, start + e + 1):
+            out[idx + e + 1] += b * form[idx]
+            out[idx + e + 2] += c * form[idx]
+        start += e + 1
+    return out
 
 
 def barth_curve(datum: HulsbergenDatum) -> PlaneCurve:
@@ -198,14 +202,16 @@ def barth_curve(datum: HulsbergenDatum) -> PlaneCurve:
     differences = [[-1] + [int(c == r) for c in range(1, n + 1)]
                    for r in range(1, n + 1)]
 
-    total = [0] * len(monomials(n))
-    for j in range(n + 1):
+    # one sweep: after point j, total is the sum above restricted to the
+    # points 0..j, and product is prod_{i <= j} ell(z_i)
+    total, product = [], [1]
+    for j, point in enumerate(points):
         minor = (bareiss_det([row[:j] + row[j + 1:] for row in differences])
-                 * bareiss_det(kernel[:j] + kernel[j + 1:]))
-        if minor:
-            minor *= next(c for c in points[j] if c != 0)
-            product = _expand_product(points[:j] + points[j + 1:])
-            total = [t + minor * c for t, c in zip(total, product)]
+                 * bareiss_det(kernel[:j] + kernel[j + 1:])
+                 * next(c for c in point if c != 0))
+        total = [t + minor * c
+                 for t, c in zip(_times_linear(total, j - 1, point), product)]
+        product = _times_linear(product, j, point)
     if not any(total):
         raise DegenerateDatum("determinant vanishes identically")
 

@@ -181,6 +181,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_witness(args) -> int:
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     results = []
     for offset in range(args.samples):
         seed = args.seed + offset

@@ -19,8 +19,10 @@ roots -(e_j + lambda) is s_k = h_k(e + lambda), and
 So the fixed points with chart sizes (a, b, c) contribute lambda^i times
 the rank-m shift by lambda of the product of three chart series
 sum_{mu |- size} h(e^mu) / euler_mu, each of which depends on the chart
-and the size alone.  `integrand_at` keeps the per-fixed-point summand as
-the reference the tests check the chart sum against.
+and the size alone.  The per-fixed-point summand, which builds each
+fixed point's weight forms and inverts its Chern series, lives in
+tests/fixed_point_reference.py as the oracle the tests check the chart
+sum against.
 
 The unit of work is one pass over Hilb^m: `integrate_many` evaluates any
 number of integrands on one m from one set of chart tables per
@@ -39,14 +41,8 @@ from math import comb, lcm
 from operator import mul
 from time import perf_counter
 
-from .partitions import FixedPoint, cells, enumerate_partitions
-from .weights import (
-    DEFAULT_FRAMES,
-    DegenerateSpecialization,
-    e_weights,
-    euler_class,
-    lambda_weight,
-)
+from .partitions import cells, enumerate_partitions
+from .weights import DEFAULT_FRAMES, DegenerateSpecialization
 
 
 class DegreeMismatch(Exception):
@@ -94,35 +90,6 @@ class IntegralResult:
         return self.value.denominator == 1
 
 
-def elementary_symmetric(values, up_to: int):
-    """e_0 = 1 through e_{up_to} of the given values, by the one-pass
-    recurrence.  Exact for int or Fraction inputs."""
-    if up_to > len(values):
-        raise ValueError("up_to exceeds the number of values")
-    e = [1] + [0] * up_to
-    for x in values:
-        for j in range(up_to, 0, -1):
-            e[j] += e[j - 1] * x
-    return e
-
-def segre_coefficients(chern, k: int):
-    """s_0 through s_k of a bundle with total Chern class given by the
-    coefficient list chern (chern[0] must be 1).
-
-    Inverts the Chern series: s_j = -sum_{t=1..min(j, rank)} c_t s_{j-t}.
-    """
-    if chern[0] != 1:
-        raise ValueError("chern[0] must be 1")
-    rank = len(chern) - 1
-    s = [1] + [0] * k
-    for j in range(1, k + 1):
-        acc = 0
-        for t in range(1, min(j, rank) + 1):
-            acc += chern[t] * s[j - t]
-        s[j] = -acc
-    return s
-
-
 def sample_specialization(rng: random.Random, seed: int) -> Specialization:
     """Draw generic integer torus parameters from [-SPEC_RANGE, SPEC_RANGE],
     rejecting the obvious degenerate lines w1=0, w2=0, w1=w2."""
@@ -131,27 +98,6 @@ def sample_specialization(rng: random.Random, seed: int) -> Specialization:
         w2 = rng.randint(-SPEC_RANGE, SPEC_RANGE)
         if w1 != 0 and w2 != 0 and w1 != w2:
             return Specialization(w1, w2, seed)
-
-
-def integrand_at(fp: FixedPoint, spec: Specialization, integrand: IntegrandSpec,
-                 frames=DEFAULT_FRAMES) -> Fraction:
-    """Summand of the fixed-point formula at a single fixed point.
-
-    The reference for `fixed_point_sum`: it builds the fixed point's
-    weight forms and inverts its Chern series.  Raises
-    DegenerateSpecialization if a tangent weight vanishes at spec.
-    """
-    w1, w2 = spec.w1, spec.w2
-    euler = euler_class(fp, w1, w2, frames)
-    lam = lambda_weight(fp, frames).evaluate(w1, w2)
-    # Segre roots carry the dual characters -(e_j + lambda); this is the
-    # sign convention under which the five published Donaldson values
-    # come out right, and it is pinned by the acceptance suite.
-    roots = [-(form.evaluate(w1, w2) + lam) for form in e_weights(fp, frames)]
-    k = integrand.k
-    chern = elementary_symmetric(roots, min(k, len(roots)))
-    s = segre_coefficients(chern, k)
-    return Fraction(lam**integrand.i * s[k], euler)
 
 
 @lru_cache(maxsize=None)
@@ -176,6 +122,14 @@ def _shapes(m: int):
         shapes.append(tuple(by_size))
         index = next_index
     return tuple(shapes)
+
+
+def fixed_point_count(m: int) -> int:
+    """The number of torus-fixed points of Hilb^m(P^2): the triples of
+    partitions of total size m that the chart sum runs over."""
+    counts = [len(by_size) for by_size in _shapes(m)]
+    return sum(counts[a] * counts[b] * counts[m - a - b]
+               for a in range(m + 1) for b in range(m - a + 1))
 
 
 def _chart_table(shapes, frame, w1: int, w2: int, k: int):
@@ -226,8 +180,9 @@ def _convolve(p, q):
 
 def fixed_point_sum(m: int, spec: Specialization, integrands,
                     frames=DEFAULT_FRAMES) -> tuple[Fraction, ...]:
-    """Sum of `integrand_at` over all fixed points of Hilb^m at spec, one
-    value per integrand, computed chart by chart.
+    """The fixed-point formula at spec: the sum over all fixed points of
+    Hilb^m of lambda^i * s_k / euler, one value per integrand, computed
+    chart by chart.
 
     The chart tables are built once, up to the largest k, and the chart
     series are multiplied once per triple of chart sizes; the shift by
@@ -291,9 +246,7 @@ def integrate_many(m: int, integrands, *, seed: int = 0,
                 f"i+k = {integrand.i + integrand.k} exceeds dim Hilb^{m} = {2 * m}"
             )
     t0 = perf_counter()
-    counts = [len(by_size) for by_size in _shapes(m)]
-    fixed_points = sum(counts[a] * counts[b] * counts[m - a - b]
-                       for a in range(m + 1) for b in range(m - a + 1))
+    fixed_points = fixed_point_count(m)
     rng = random.Random(seed)
 
     def evaluate() -> tuple[tuple[Fraction, ...], Specialization]:

@@ -9,9 +9,8 @@ from fractions import Fraction
 from math import gcd, prod
 from time import perf_counter
 
-from .engine import IntegrandSpec, integrate, integrate_many
+from .engine import IntegrandSpec, fixed_point_count, integrate, integrate_many
 from .invariants import darboux_count, donaldson_q
-from .partitions import enumerate_fixed_points
 from . import barth
 
 PUBLISHED_Q = {2: 1, 3: 3, 4: 54, 5: 2540, 6: 233208}
@@ -79,10 +78,11 @@ def check_vanishing():
 
 
 def check_fixed_point_counts():
-    oracle = fixed_point_count_series(12)
-    got = [len(enumerate_fixed_points(m)) for m in range(13)]
+    """The count every IntegralResult reports, against the series."""
+    oracle = fixed_point_count_series(16)
+    got = [fixed_point_count(m) for m in range(17)]
     ok = got == oracle
-    return ok, f"counts {got} vs series oracle {oracle}"
+    return ok, f"engine counts for m <= 16 {got} vs series oracle {oracle}"
 
 
 def check_barth_witness():

@@ -1,6 +1,6 @@
 """The chart-by-chart fixed-point sum against the plain sum of
 `integrand_at` over every fixed point, which builds each fixed point's
-weight forms and inverts its Chern series."""
+weight forms and inverts its Chern series (fixed_point_reference.py)."""
 
 import random
 from fractions import Fraction
@@ -13,7 +13,6 @@ from donaldson_cp2.engine import (
     IntegrandSpec,
     Specialization,
     fixed_point_sum,
-    integrand_at,
     integrate,
     integrate_many,
     sample_specialization,
@@ -24,8 +23,8 @@ from donaldson_cp2.weights import (
     DegenerateSpecialization,
     WeightForm,
     chart_frames,
-    lambda_weight,
 )
+from fixed_point_reference import integrand_at, lambda_weight
 
 FRAMES = {"default": DEFAULT_FRAMES, "shifted": chart_frames(WeightForm(3, -2))}
 

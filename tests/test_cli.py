@@ -194,6 +194,16 @@ def test_integrate_negative_m(capsys):
     assert "DegreeMismatch" not in err
 
 
+@pytest.mark.parametrize("samples", ["0", "-2"])
+def test_witness_refuses_fewer_than_one_sample(capsys, samples):
+    # with no sample checked, nothing may be reported as verified
+    for fmt in ("text", "json"):
+        assert run(["--format", fmt, "witness", "--n", "3", "--samples", samples]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--samples must be at least 1, got {samples}" in captured.err
+
+
 def test_witness_seed_both_spellings(capsys):
     # the global --seed and the subcommand's --seed set one value
     for argv in (["--format", "json", "--seed", "7", "witness", "--n", "3"],

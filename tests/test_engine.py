@@ -7,14 +7,18 @@ from donaldson_cp2.engine import (
     DegreeMismatch,
     IntegrandSpec,
     Specialization,
-    elementary_symmetric,
-    integrand_at,
+    fixed_point_count,
     integrate,
     sample_specialization,
-    segre_coefficients,
 )
 from donaldson_cp2.partitions import EMPTY, FixedPoint, Partition, enumerate_fixed_points
 from donaldson_cp2.weights import WeightForm, chart_frames
+from fixed_point_reference import (
+    elementary_symmetric,
+    integrand_at,
+    segre_coefficients,
+    tangent_weights,
+)
 
 
 def esym_bruteforce(values):
@@ -100,7 +104,6 @@ def test_integrand_at_trivial_numerator():
     spec = Specialization(2, 9, seed=0)
     for fp in enumerate_fixed_points(2):
         euler = 1
-        from donaldson_cp2.weights import tangent_weights
         for f in tangent_weights(fp):
             euler *= f.evaluate(2, 9)
         assert integrand_at(fp, spec, IntegrandSpec(0, 0)) == Fraction(1, euler)
@@ -174,6 +177,11 @@ def test_result_metadata():
     assert res.fixed_point_count == 22
     assert res.spec_used != res.cross_check_spec
     assert res.is_integral
+
+
+def test_fixed_point_count_is_the_number_of_fixed_points():
+    for m in range(9):
+        assert fixed_point_count(m) == len(enumerate_fixed_points(m))
 
 
 def test_sample_specialization_avoids_degenerate_lines():
