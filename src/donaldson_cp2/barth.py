@@ -14,8 +14,9 @@ is computed over the integers.
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations, repeat
 from math import gcd
+from operator import mul
 
 from .linalg import bareiss_det, clear_denominators, rank
 
@@ -25,11 +26,11 @@ COORD_RANGE = 30  # sampled coordinates lie in [-COORD_RANGE, COORD_RANGE]
 MAX_TRIES = 1000  # configurations drawn before sampling gives up
 
 
-class SamplingExhausted(Exception):
+class SamplingExhausted(ArithmeticError):
     """Random sampling failed to produce a generic object."""
 
 
-class DegenerateDatum(Exception):
+class DegenerateDatum(ArithmeticError):
     """The determinant vanished identically; the extension is non-generic."""
 
 
@@ -110,6 +111,15 @@ def monomials(degree: int) -> list[tuple[int, int, int]]:
     ]
 
 
+def monomial_values(degree: int, point) -> list:
+    """Every degree-d monomial at a point, in monomials order, from one
+    power table per coordinate; exact, an int at an integer point and a
+    rational at a rational one (c ** 0 keeps each coordinate's type)."""
+    x, y, z = (list(accumulate(repeat(c, degree), mul, initial=c ** 0)) for c in point)
+    return [x[i] * y[j] * z[degree - i - j]
+            for i in range(degree, -1, -1) for j in range(degree - i, -1, -1)]
+
+
 @dataclass(frozen=True)
 class PlaneCurve:
     """A nonzero degree-d form on the dual plane, coefficients in the
@@ -121,11 +131,8 @@ class PlaneCurve:
     def evaluate(self, line):
         """The form at a line, exactly: an int at an integer line and a
         rational at a rational one."""
-        total = 0
-        for (i, j, k), c in zip(monomials(self.degree), self.coefficients):
-            if c:
-                total += c * line[0] ** i * line[1] ** j * line[2] ** k
-        return total
+        return sum(c * v for c, v in zip(self.coefficients,
+                                         monomial_values(self.degree, line)) if c)
 
 
 def sample_configuration(n: int, seed: int) -> PlaneConfiguration:
@@ -235,8 +242,5 @@ def darboux_system_dimension(config: PlaneConfiguration) -> int:
     The expected rank is full row rank, n(n+1)/2, which a rank modulo
     one prime certifies; only a configuration whose matrix loses rank
     modulo that prime is ranked by Bareiss elimination over Z."""
-    n = config.n
-    mons = monomials(n)
-    rows = [[node[0] ** i * node[1] ** j * node[2] ** k for (i, j, k) in mons]
-            for node in config.nodes()]
-    return len(mons) - 1 - rank(rows)
+    rows = [monomial_values(config.n, node) for node in config.nodes()]
+    return len(rows[0]) - 1 - rank(rows)

@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Subcommands: donaldson, darboux, integrate, table, witness, verify.
-Results go to stdout; exit code 0 on success, 1 on computation error,
-2 on usage error.  Big numerics are serialized as decimal strings in
-JSON because the values routinely exceed 64-bit range.
+Results go to stdout, in the --format that `_emit` alone reads.  Exit
+code 0 on success; package errors carry their own code: a usage error
+is a ValueError (2) and a failed computation an ArithmeticError (1).
+Big numerics are serialized as decimal strings in JSON because the
+values routinely exceed 64-bit range.
 """
 
 import argparse
@@ -12,17 +14,11 @@ import sys
 from fractions import Fraction
 
 from . import barth, verify
-from .engine import (
-    DegreeMismatch,
-    IntegrandSpec,
-    SpecializationExhausted,
-    integrate,
-)
-from .invariants import OutOfRange, darboux_count, donaldson_q, invariant_table
-from .weights import DegenerateSpecialization
+from .engine import IntegrandSpec, integrate
+from .invariants import darboux_count, donaldson_q, invariant_table
 
 
-class ParseError(Exception):
+class ParseError(ValueError):
     """Integrand expression rejected; carries the byte offset and the
     tokens that would have been accepted there."""
 
@@ -97,28 +93,20 @@ def parse_integrand(text: str) -> IntegrandSpec:
     return IntegrandSpec(i_total, k_total)
 
 
-def _value_json(value: Fraction) -> dict:
-    return {"num": str(value.numerator), "den": str(value.denominator)}
-
-
 CSV_KEYS = ("command", "n", "i", "k", "value", "fixed_points")
 
 
-def _print_csv(records):
-    """One header row, then one row per record, in the CSV_KEYS columns."""
-    print(",".join(CSV_KEYS))
-    for record in records:
-        flat = dict(record, value=f"{record['value']['num']}/{record['value']['den']}")
-        print(",".join(str(flat[key]) for key in CSV_KEYS))
-
-
-def _emit(record: dict, fmt: str, text_line: str):
+def _emit(fmt: str, payload, rows, keys, text: str):
+    """The one place that reads --format: JSON prints the payload, CSV one
+    header row of keys and then one line per row, text the text."""
     if fmt == "json":
-        print(json.dumps(record))
+        print(json.dumps(payload))
     elif fmt == "csv":
-        _print_csv([record])
+        print(",".join(keys))
+        for row in rows:
+            print(",".join(str(row[key]) for key in keys))
     else:
-        print(text_line)
+        print(text)
 
 
 def _record(command: str, n, value: Fraction, detail) -> dict:
@@ -128,7 +116,7 @@ def _record(command: str, n, value: Fraction, detail) -> dict:
         "n": n,
         "i": detail.integrand.i,
         "k": detail.integrand.k,
-        "value": _value_json(value),
+        "value": {"num": str(value.numerator), "den": str(value.denominator)},
         "fixed_points": detail.fixed_point_count,
         "spec": {
             "w1": str(detail.spec_used.w1),
@@ -139,13 +127,19 @@ def _record(command: str, n, value: Fraction, detail) -> dict:
     }
 
 
+def _emit_results(fmt: str, payload, records: list, text: str):
+    """Result records, with each value as num/den in the CSV_KEYS columns."""
+    rows = [dict(r, value=f"{r['value']['num']}/{r['value']['den']}") for r in records]
+    _emit(fmt, payload, rows, CSV_KEYS, text)
+
+
 def _cmd_donaldson(args) -> int:
     res = donaldson_q(args.n, seed=args.seed)
     spec = res.detail
     rec = _record("donaldson", args.n, Fraction(res.q), spec)
-    _emit(rec, args.format,
-          f"q_{4 * args.n - 3} = {res.q}  (raw integral {res.raw_integral}, "
-          f"prefactor {res.prefactor}, {spec.fixed_point_count} fixed points)")
+    _emit_results(args.format, rec, [rec],
+                  f"q_{4 * args.n - 3} = {res.q}  (raw integral {res.raw_integral}, "
+                  f"prefactor {res.prefactor}, {spec.fixed_point_count} fixed points)")
     return 0
 
 
@@ -154,29 +148,24 @@ def _cmd_darboux(args) -> int:
     rec = _record("darboux", args.n, Fraction(res.count), res.detail)
     if not res.validated:
         rec["note"] = "unvalidated against the published values (n > 6)"
-    _emit(rec, args.format,
-          f"darboux(n={args.n}, i={args.i}) = {res.count}"
-          + ("" if res.validated else "  [unvalidated: n > 6]"))
+    _emit_results(args.format, rec, [rec],
+                  f"darboux(n={args.n}, i={args.i}) = {res.count}"
+                  + ("" if res.validated else "  [unvalidated: n > 6]"))
     return 0
 
 
 def _cmd_integrate(args) -> int:
     res = integrate(args.m, parse_integrand(args.expr), seed=args.seed)
     rec = _record("integrate", args.m, res.value, res)
-    _emit(rec, args.format, f"integral over H_{args.m} = {res.value}")
+    _emit_results(args.format, rec, [rec], f"integral over H_{args.m} = {res.value}")
     return 0
 
 
 def _cmd_table(args) -> int:
     rows = invariant_table(args.n_max, seed=args.seed)
     records = [_record("table", row.n, Fraction(row.q), row.detail) for row in rows]
-    if args.format == "json":
-        print(json.dumps(records))
-    elif args.format == "csv":
-        _print_csv(records)
-    else:
-        for row in rows:
-            print(f"n={row.n}  q_{4 * row.n - 3} = {row.q}")
+    _emit_results(args.format, records, records,
+                  "\n".join(f"n={row.n}  q_{4 * row.n - 3} = {row.q}" for row in rows))
     return 0
 
 
@@ -193,26 +182,21 @@ def _cmd_witness(args) -> int:
         results.append({"seed": seed, "verified": ok, "degree": curve.degree,
                         "system_dimension": dim})
     all_ok = all(r["verified"] and r["system_dimension"] == args.n for r in results)
-    if args.format == "json":
-        print(json.dumps({"command": "witness", "n": args.n,
-                          "samples": args.samples, "all_verified": all_ok,
-                          "results": results}))
-    elif args.format == "csv":
-        keys = ["seed", "verified", "degree", "system_dimension"]
-        print(",".join(keys))
-        for r in results:
-            print(",".join(str(r[key]) for key in keys))
-    else:
-        for r in results:
-            print(f"seed {r['seed']}: degree {r['degree']}, "
-                  f"incidence {'ok' if r['verified'] else 'FAILED'}, "
-                  f"system dimension {r['system_dimension']}")
-        print(f"witness n={args.n}: {'all verified' if all_ok else 'FAILURES'}")
+    lines = [f"seed {r['seed']}: degree {r['degree']}, "
+             f"incidence {'ok' if r['verified'] else 'FAILED'}, "
+             f"system dimension {r['system_dimension']}" for r in results]
+    lines.append(f"witness n={args.n}: {'all verified' if all_ok else 'FAILURES'}")
+    _emit(args.format, {"command": "witness", "n": args.n, "samples": args.samples,
+                        "all_verified": all_ok, "results": results},
+          results, ("seed", "verified", "degree", "system_dimension"), "\n".join(lines))
     return 0 if all_ok else 1
 
 
 def _cmd_verify(args) -> int:
-    return 0 if verify.run_all() else 1
+    records = list(verify.run_checks())
+    _emit(args.format, records, records, ("name", "ok", "elapsed_s"),
+          "\n".join(map(verify.report_line, records)))
+    return 0 if all(r["ok"] for r in records) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -265,14 +249,10 @@ def run(argv) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (OutOfRange, ParseError, DegreeMismatch, ValueError) as exc:
+    except (ValueError, ArithmeticError) as exc:
+        # usage errors subclass ValueError, failed computations ArithmeticError
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except (DegenerateSpecialization, SpecializationExhausted,
-            barth.SamplingExhausted, barth.DegenerateDatum,
-            ArithmeticError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ValueError) else 1
 
 
 def main() -> None:

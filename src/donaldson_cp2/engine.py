@@ -45,11 +45,11 @@ from .partitions import cells, enumerate_partitions
 from .weights import DEFAULT_FRAMES, DegenerateSpecialization
 
 
-class DegreeMismatch(Exception):
+class DegreeMismatch(ValueError):
     """Integrand degree exceeds 2m; the equivariant sum is not a number."""
 
 
-class SpecializationExhausted(Exception):
+class SpecializationExhausted(ArithmeticError):
     """Repeated resampling kept hitting degenerate specializations."""
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from .engine import IntegralResult, IntegrandSpec, integrate, integrate_many
 
 
-class OutOfRange(Exception):
+class OutOfRange(ValueError):
     """Arguments outside the range the formulas are valid for."""
 
 

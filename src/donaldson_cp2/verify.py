@@ -179,12 +179,24 @@ CRITERIA = [
 ]
 
 
-def run_all(report=print) -> bool:
-    all_ok = True
+def run_checks():
+    """Run the checks in CRITERIA order, yielding one record per check as
+    it finishes: its name, ok, detail and elapsed_s, its monotonic time."""
     for name, check in CRITERIA:
         t0 = perf_counter()
         ok, detail = check()
-        elapsed = perf_counter() - t0
-        report(f"{'PASS' if ok else 'FAIL'} {name} ({elapsed:.2f} s): {detail}")
-        all_ok = all_ok and ok
+        yield {"name": name, "ok": ok, "detail": detail, "elapsed_s": perf_counter() - t0}
+
+
+def report_line(record: dict) -> str:
+    """A check's record as its PASS/FAIL line."""
+    return (f"{'PASS' if record['ok'] else 'FAIL'} {record['name']} "
+            f"({record['elapsed_s']:.2f} s): {record['detail']}")
+
+
+def run_all(report=print) -> bool:
+    all_ok = True
+    for record in run_checks():
+        report(report_line(record))
+        all_ok = all_ok and record["ok"]
     return all_ok

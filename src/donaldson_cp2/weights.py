@@ -13,7 +13,7 @@ chart's line weight.
 from dataclasses import dataclass
 
 
-class DegenerateSpecialization(Exception):
+class DegenerateSpecialization(ArithmeticError):
     """A tangent weight specialized to zero; the caller should resample."""
 
 
@@ -49,7 +49,6 @@ W2 = WeightForm(0, 1)
 class ChartFrame:
     """Local equivariant data of one fixed chart of P^2."""
 
-    chart: int
     coord_weights: tuple[WeightForm, WeightForm]
     line_weight: WeightForm
 
@@ -60,9 +59,9 @@ def chart_frames(shift: WeightForm = ZERO) -> tuple[ChartFrame, ChartFrame, Char
     coordinate weight; well-formed integrals are insensitive to it.
     """
     return (
-        ChartFrame(0, (W1, W2), ZERO + shift),
-        ChartFrame(1, (-W1, W2 - W1), W1 + shift),
-        ChartFrame(2, (-W2, W1 - W2), W2 + shift),
+        ChartFrame((W1, W2), ZERO + shift),
+        ChartFrame((-W1, W2 - W1), W1 + shift),
+        ChartFrame((-W2, W1 - W2), W2 + shift),
     )
 
 

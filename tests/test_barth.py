@@ -13,6 +13,7 @@ from donaldson_cp2.barth import (
     PlaneCurve,
     barth_curve,
     darboux_system_dimension,
+    monomial_values,
     monomials,
     sample_configuration,
     sample_datum,
@@ -397,6 +398,16 @@ def test_sample_datum_and_curve_are_plain_ints():
         assert all(type(c) is int for c in curve.coefficients)
         assert all(type(curve.evaluate(node)) is int
                    for node in datum.config.nodes())
+
+
+def test_monomial_values_are_exact_powers_in_monomials_order():
+    for degree in range(6):
+        for point in ((3, -2, 7), (0, 5, -1), (F(1) / 3, F(-2) / 5, 1)):
+            values = monomial_values(degree, point)
+            want = [point[0] ** i * point[1] ** j * point[2] ** k
+                    for i, j, k in monomials(degree)]
+            assert values == want
+            assert [type(v) for v in values] == [type(v) for v in want]
 
 
 def test_darboux_form_is_exact_on_integer_data():

@@ -3,9 +3,12 @@ import time
 
 import pytest
 
-from donaldson_cp2 import engine
+from donaldson_cp2 import barth, cli, engine, verify
+from donaldson_cp2.barth import DegenerateDatum, SamplingExhausted
 from donaldson_cp2.cli import ParseError, parse_integrand, run
-from donaldson_cp2.engine import IntegrandSpec
+from donaldson_cp2.engine import DegreeMismatch, IntegrandSpec, SpecializationExhausted
+from donaldson_cp2.invariants import OutOfRange
+from donaldson_cp2.weights import DegenerateSpecialization
 
 
 def test_parse_segre_only():
@@ -217,3 +220,77 @@ def test_witness_seed_both_spellings(capsys):
     assert [r["seed"] for r in record["results"]] == [7, 8]
     assert run(["--format", "json", "witness", "--n", "3"]) == 0
     assert json.loads(capsys.readouterr().out)["results"][0]["seed"] == 0
+
+
+RESULT_HEADER = "command,n,i,k,value,fixed_points"
+FORMAT_CASES = {
+    "donaldson": (["donaldson", "--n", "3"], RESULT_HEADER),
+    "darboux": (["darboux", "--n", "2", "--i", "3"], RESULT_HEADER),
+    "integrate": (["integrate", "--m", "3", "--expr", "s6(E*L)"], RESULT_HEADER),
+    "table": (["table", "--n-max", "3"], RESULT_HEADER),
+    "witness": (["witness", "--n", "3", "--samples", "2"],
+                "seed,verified,degree,system_dimension"),
+    "verify": (["verify"], "name,ok,elapsed_s"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("cmd", list(FORMAT_CASES))
+def test_every_command_honours_format(monkeypatch, capsys, cmd, fmt):
+    # two cheap checks stand in for the full suite; a comma in a detail
+    # must not reach the CSV
+    monkeypatch.setattr(verify, "CRITERIA", [
+        ("first", lambda: (True, "fine, with a comma")),
+        ("second", lambda: (True, "fine")),
+    ])
+    argv, header = FORMAT_CASES[cmd]
+    assert run(["--format", fmt, *argv]) == 0
+    out = capsys.readouterr().out
+    if fmt == "json":
+        payload = json.loads(out)
+        if cmd == "verify":
+            assert [r["name"] for r in payload] == ["first", "second"]
+            assert all(set(r) == {"name", "ok", "detail", "elapsed_s"} for r in payload)
+    else:
+        lines = out.strip().splitlines()
+        assert lines[0] == header and lines.count(header) == 1
+        assert all(line.count(",") == header.count(",") for line in lines)
+
+
+@pytest.mark.parametrize("exc,code", [
+    pytest.param(exc, code, id=type(exc).__name__) for exc, code in [
+        (ParseError(0, {"integer"}), 2),
+        (OutOfRange("out of range"), 2),
+        (DegreeMismatch("too high"), 2),
+        (DegenerateSpecialization("zero weight"), 1),
+        (SpecializationExhausted("no luck"), 1),
+        (SamplingExhausted("no luck"), 1),
+        (DegenerateDatum("vanishes"), 1),
+    ]
+])
+def test_exit_code_rule(monkeypatch, capsys, exc, code):
+    # usage errors are ValueErrors (2), failed computations ArithmeticErrors (1)
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "donaldson_q", fail)
+    assert run(["donaldson", "--n", "3"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {type(exc).__name__}: {exc}\n"
+
+
+def test_witness_failure_path(monkeypatch, capsys):
+    # x0^n has the right degree but misses every node off the line x0 = 0
+    def missing_curve(datum):
+        n = datum.config.n
+        return barth.PlaneCurve(n, (1,) + (0,) * (len(barth.monomials(n)) - 1))
+
+    monkeypatch.setattr(barth, "barth_curve", missing_curve)
+    assert run(["witness", "--n", "3", "--samples", "2"]) == 1
+    out = capsys.readouterr().out
+    assert "incidence FAILED" in out and out.endswith("witness n=3: FAILURES\n")
+    assert run(["--format", "json", "witness", "--n", "3"]) == 1
+    assert json.loads(capsys.readouterr().out)["all_verified"] is False
+    ok, detail = verify.check_barth_witness()
+    assert ok is False and detail == "incidence failed at n=2, seed 0"
