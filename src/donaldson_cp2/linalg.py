@@ -1,11 +1,15 @@
 """Exact linear algebra over the integers: fraction-free Bareiss
 elimination for determinants and ranks, and a rank certified modulo a
-prime that falls back to Bareiss when the certificate fails."""
+prime that falls back to Bareiss when the certificate fails.
+
+The modular rank packs each row into one int, one slot per column, of
+width 2 * P.bit_length() + rows.bit_length() + 1 bits: a slot stays
+below P + rows * P**2, so elimination never carries between slots."""
 
 from fractions import Fraction
 from math import lcm
 
-P = 2**61 - 1  # a Mersenne prime
+P = 2**30 - 35  # the largest prime below 2**30: a reduced entry is one CPython digit
 
 
 def clear_denominators(row) -> list[int]:
@@ -60,24 +64,41 @@ def bareiss_det(matrix) -> int:
 
 def _rank_mod_p(matrix) -> int:
     """Rank of an integer matrix reduced modulo P, by Gaussian elimination
-    over F_P."""
-    m = [[x % P for x in row] for row in matrix]
-    rows = len(m)
-    cols = len(m[0]) if m else 0
+    over F_P on packed rows.
+
+    Each row is one int with a width-bit slot per column, column 0 in the
+    lowest slot.  Eliminating a row is one multiply-add on the whole row,
+    row + (P - f) * top, where f is the row's entry in the pivot column and
+    top the rest of the pivot row, reduced and scaled by the pivot's
+    inverse.  A row takes at most one such step per pivot, each adding
+    less than P**2 to a slot that started below P, so a slot stays below
+    P + rows * P**2 < 2**width: it never goes negative and never carries
+    into its neighbour.  A slot is reduced modulo P only when it is read.
+    After each column every row drops its lowest slot, so the pivot
+    column is always the lowest.
+    """
+    rows = len(matrix)
+    cols = len(matrix[0]) if matrix else 0
+    width = 2 * P.bit_length() + rows.bit_length() + 1
+    mask = (1 << width) - 1
+
+    def pack(slots):
+        return sum(x % P << width * k for k, x in enumerate(slots))
+
+    live = [pack(row) for row in matrix]
     rank = 0
     for c in range(cols):
         if rank == rows:
             break
-        pivot = next((j for j in range(rank, rows) if m[j][c]), None)
+        factors = [(row & mask) % P for row in live]
+        live = [row >> width for row in live]
+        pivot = next((j for j, f in enumerate(factors) if f), None)
         if pivot is None:
             continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inverse = pow(m[rank][c], -1, P)
-        top = [x * inverse % P for x in m[rank][c + 1:]]
-        for j in range(rank + 1, rows):
-            f = m[j][c]
-            if f:
-                m[j][c + 1:] = [(x - f * t) % P for x, t in zip(m[j][c + 1:], top)]
+        inverse = pow(factors.pop(pivot), -1, P)
+        rest = live.pop(pivot)
+        top = pack([(rest >> width * k & mask) * inverse for k in range(cols - c - 1)])
+        live = [row + (P - f) * top if f else row for row, f in zip(live, factors)]
         rank += 1
     return rank
 

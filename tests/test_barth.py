@@ -122,13 +122,64 @@ def test_rank_of_matrices_singular_mod_p(matrix, want):
     assert rank(matrix) == want
 
 
+def per_entry_rank_mod_p(matrix):
+    """Rank modulo P by plain Gaussian elimination on lists of residues."""
+    m = [[x % P for x in row] for row in matrix]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        pivot = next((j for j in range(rank, len(m)) if m[j][c]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inverse = pow(m[rank][c], -1, P)
+        top = [x * inverse % P for x in m[rank]]
+        for j in range(rank + 1, len(m)):
+            f = m[j][c]
+            m[j] = [(x - f * t) % P for x, t in zip(m[j], top)]
+        rank += 1
+    return rank
+
+
+def test_packed_rank_mod_p_equals_per_entry_elimination():
+    rng = random.Random(23)
+    entries = [
+        lambda: rng.randrange(P),
+        lambda: rng.randrange(P - 2**10, P),  # residues near P: the largest products
+        lambda: rng.randint(-P, -1),
+        lambda: rng.randint(-3, 3) * P,
+        lambda: rng.randint(-2**70, 2**70),
+    ]
+    shapes, deficient, largest = set(), 0, 0
+    for trial in range(200):
+        top = 80 if trial % 4 == 0 else 24
+        rows, cols = rng.randint(1, top), rng.randint(1, top)
+        m = [[rng.choice(entries)() for _ in range(cols)] for _ in range(rows)]
+        if rows > 1 and rng.random() < 0.5:
+            # some rows combinations of the others modulo P, lifted by
+            # multiples of P so the dependence shows only modulo P
+            for a in rng.sample(range(rows), rng.randint(1, rows - 1)):
+                others = [r for r in range(rows) if r != a]
+                b, c = rng.choice(others), rng.choice(others)
+                u, v = rng.randrange(P), rng.randrange(P)
+                m[a] = [(u * x + v * y) % P + rng.randint(-2, 2) * P
+                        for x, y in zip(m[b], m[c])]
+        want = per_entry_rank_mod_p(m)
+        assert linalg._rank_mod_p(m) == want
+        shapes.add((rows > cols) - (rows < cols))
+        deficient += want < min(rows, cols)
+        largest = max(largest, rows, cols)
+    assert shapes == {-1, 0, 1}  # wide, square and tall matrices
+    assert deficient >= 30
+    assert largest >= 78  # n = 12 ranks 78 rows
+
+
 def test_generic_system_rank_needs_no_bareiss(monkeypatch):
     # full rank modulo P certifies the rank of a generic configuration
     def no_bareiss(matrix):
         raise AssertionError("Bareiss elimination ran")
 
     monkeypatch.setattr(linalg, "_eliminate", no_bareiss)
-    for n in range(2, 10):
+    for n in range(2, 13):
         for seed in range(3):
             assert darboux_system_dimension(sample_configuration(n, seed)) == n
 
