@@ -24,6 +24,9 @@ Point = tuple[int, int, int]
 
 COORD_RANGE = 30  # sampled coordinates lie in [-COORD_RANGE, COORD_RANGE]
 MAX_TRIES = 1000  # configurations drawn before sampling gives up
+# Largest n sampled.  Every seed tried succeeds up to n = 29, but one witness
+# takes 0.3-0.5 s at n = 24 and 1.6-2 s at n = 29, up to 0.7 s of it redraws.
+MAX_N = 24
 
 
 class SamplingExhausted(ArithmeticError):
@@ -138,8 +141,8 @@ class PlaneCurve:
 def sample_configuration(n: int, seed: int) -> PlaneConfiguration:
     """n+1 random small-integer points satisfying the genericity
     condition; deterministic per seed."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    if not 2 <= n <= MAX_N:
+        raise ValueError(f"n must be in 2..{MAX_N}, got {n}")
     rng = random.Random(seed)
     for _ in range(MAX_TRIES):
         points = tuple(

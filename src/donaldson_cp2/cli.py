@@ -109,8 +109,13 @@ def _emit(fmt: str, payload, rows, keys, text: str):
         print(text)
 
 
+def _spec(spec) -> dict:
+    return {"w1": str(spec.w1), "w2": str(spec.w2), "seed": spec.seed}
+
+
 def _record(command: str, n, value: Fraction, detail) -> dict:
-    """One result as a record; elapsed_ms is the time of its integral."""
+    """One result as a record, with both specializations; elapsed_ms is
+    the time of its integral."""
     return {
         "command": command,
         "n": n,
@@ -118,11 +123,8 @@ def _record(command: str, n, value: Fraction, detail) -> dict:
         "k": detail.integrand.k,
         "value": {"num": str(value.numerator), "den": str(value.denominator)},
         "fixed_points": detail.fixed_point_count,
-        "spec": {
-            "w1": str(detail.spec_used.w1),
-            "w2": str(detail.spec_used.w2),
-            "seed": detail.spec_used.seed,
-        },
+        "spec": _spec(detail.spec_used),
+        "check_spec": _spec(detail.cross_check_spec),
         "elapsed_ms": int(detail.elapsed_s * 1000),
     }
 

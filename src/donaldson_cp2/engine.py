@@ -3,10 +3,25 @@ fixed-point summation.
 
 An integrand is c1(L)^i * s_k(E tensor L).  At each fixed point the
 summand is lambda^i * s_k / (product of tangent weights), all specialized
-at generic integer torus parameters; the sum over fixed points is a
-constant (independent of the parameters) whenever i + k <= 2m.  Every
-integral is evaluated under two independent specializations and the
-results must agree bitwise.
+at integer torus parameters (w1, w2); the sum over fixed points is a
+constant (independent of the parameters) whenever i + k <= 2m and no
+tangent weight vanishes.  Every integral is evaluated at two
+specializations (1, N) and (1, N'), N != N', which `specializations`
+draws from (m+1, m+1+SPAN] by Random(seed), and the results must agree
+bitwise.
+
+No tangent weight vanishes at (1, N) with N > m, so no draw is ever
+rejected.  A cell with arm a and leg l has a + l <= m-1 and the tangent
+weights (a+1)u - l*v and (l+1)v - a*u, where the chart parameters (u, v)
+are (1, N), (-1, N-1) and (-N, 1-N):
+- chart 1 would need l*N = a+1 or a = (l+1)*N, and either forces
+  N <= m-1;
+- in chart 2 the first weight is negative and the second positive;
+- chart 3 would need l = N*(l-a-1) or l+1 = N*(l+1-a), so N | l or
+  N | l+1, impossible for 0 < l+1 <= m < N; at l = 0 the first weight
+  is -(a+1)N.
+Shifted frames (`chart_frames(shift)`) move only the line weights, so
+the proof holds for them too.  `_chart_table` still checks every weight.
 
 The sum is taken per chart, not per fixed point.  A fixed point is a
 triple of partitions, one per chart of P^2.  Its tangent weights and its
@@ -49,12 +64,7 @@ class DegreeMismatch(ValueError):
     """Integrand degree exceeds 2m; the equivariant sum is not a number."""
 
 
-class SpecializationExhausted(ArithmeticError):
-    """Repeated resampling kept hitting degenerate specializations."""
-
-
-SPEC_RANGE = 10**6
-MAX_RESAMPLES = 64
+SPAN = 64  # N is drawn from (m+1, m+1+SPAN]
 
 
 @dataclass(frozen=True)
@@ -90,14 +100,11 @@ class IntegralResult:
         return self.value.denominator == 1
 
 
-def sample_specialization(rng: random.Random, seed: int) -> Specialization:
-    """Draw generic integer torus parameters from [-SPEC_RANGE, SPEC_RANGE],
-    rejecting the obvious degenerate lines w1=0, w2=0, w1=w2."""
-    while True:
-        w1 = rng.randint(-SPEC_RANGE, SPEC_RANGE)
-        w2 = rng.randint(-SPEC_RANGE, SPEC_RANGE)
-        if w1 != 0 and w2 != 0 and w1 != w2:
-            return Specialization(w1, w2, seed)
+def specializations(m: int, seed: int) -> tuple[Specialization, Specialization]:
+    """The two specializations (1, N) and (1, N') of Hilb^m at seed: two
+    distinct N from (m+1, m+1+SPAN], drawn by Random(seed)."""
+    return tuple(Specialization(1, n, seed)
+                 for n in random.Random(seed).sample(range(m + 2, m + 2 + SPAN), 2))
 
 
 @lru_cache(maxsize=None)
@@ -229,11 +236,10 @@ def integrate_many(m: int, integrands, *, seed: int = 0,
 
     Each integrand requires i + k <= 2m; for i + k < 2m the value is 0
     by degree reasons, which the summation confirms.  The sums are
-    evaluated under two independently sampled specializations and must
-    agree.  Whether a specialization is degenerate depends on m alone, so
-    each result carries the specializations and the fixed-point count
-    that `integrate` of its integrand alone would, and the time of the
-    whole pass.
+    evaluated at the two `specializations(m, seed)` and must agree.  Each
+    result carries the specializations and the fixed-point count that
+    `integrate` of its integrand alone would, and the time of the whole
+    pass.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
@@ -247,21 +253,9 @@ def integrate_many(m: int, integrands, *, seed: int = 0,
             )
     t0 = perf_counter()
     fixed_points = fixed_point_count(m)
-    rng = random.Random(seed)
-
-    def evaluate() -> tuple[tuple[Fraction, ...], Specialization]:
-        for _ in range(MAX_RESAMPLES):
-            spec = sample_specialization(rng, seed)
-            try:
-                return fixed_point_sum(m, spec, integrands, frames), spec
-            except DegenerateSpecialization:
-                continue
-        raise SpecializationExhausted(
-            f"no generic specialization found in {MAX_RESAMPLES} draws (m={m})"
-        )
-
-    values, spec_used = evaluate()
-    check_values, check_spec = evaluate()
+    spec_used, check_spec = specializations(m, seed)
+    values = fixed_point_sum(m, spec_used, integrands, frames)
+    check_values = fixed_point_sum(m, check_spec, integrands, frames)
     for integrand, value, check_value in zip(integrands, values, check_values):
         if value != check_value:
             raise ArithmeticError(

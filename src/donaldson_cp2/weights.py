@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 
 class DegenerateSpecialization(ArithmeticError):
-    """A tangent weight specialized to zero; the caller should resample."""
+    """A tangent weight specialized to zero."""
 
 
 @dataclass(frozen=True)

@@ -9,13 +9,14 @@ from functools import lru_cache
 import pytest
 
 from donaldson_cp2.engine import (
+    SPAN,
     DegreeMismatch,
     IntegrandSpec,
     Specialization,
     fixed_point_sum,
     integrate,
     integrate_many,
-    sample_specialization,
+    specializations,
 )
 from donaldson_cp2.partitions import enumerate_fixed_points
 from donaldson_cp2.weights import (
@@ -33,18 +34,14 @@ def reference_sum(fps, spec, integrand, frames):
     return sum((integrand_at(fp, spec, integrand, frames) for fp in fps), Fraction(0))
 
 
-def reference_specs(fps, seed, frames):
-    """The first two draws from Random(seed) at which no fixed point has a
-    vanishing tangent weight."""
-    rng = random.Random(seed)
-    specs = []
-    while len(specs) < 2:
-        spec = sample_specialization(rng, seed)
-        try:
-            reference_sum(fps, spec, IntegrandSpec(0, 0), frames)
-        except DegenerateSpecialization:
-            continue
-        specs.append(spec)
+def reference_specs(fps, m, seed, frames):
+    """The documented rule: (1, N) and (1, N') for the two distinct N that
+    Random(seed) samples from m+2..m+1+SPAN.  Both must be nondegenerate
+    for the per-fixed-point reference."""
+    specs = [Specialization(1, n, seed)
+             for n in random.Random(seed).sample(range(m + 2, m + 2 + SPAN), 2)]
+    for spec in specs:
+        reference_sum(fps, spec, IntegrandSpec(0, 0), frames)  # raises if degenerate
     return specs
 
 
@@ -68,7 +65,7 @@ def reference_run(m, frames_name):
     reference_table at the first of them."""
     frames = FRAMES[frames_name]
     fps = enumerate_fixed_points(m)
-    specs = reference_specs(fps, 100 + m, frames)
+    specs = reference_specs(fps, m, 100 + m, frames)
     return specs, len(fps), reference_table(fps, specs[0], m, frames)
 
 
@@ -152,3 +149,27 @@ def test_degenerate_examples_cover_both_outcomes():
             except DegenerateSpecialization:
                 outcomes.add(True)
     assert outcomes == {True, False}
+
+
+def test_no_tangent_weight_vanishes_at_any_drawable_n():
+    # N can be drawn for Hilb^m exactly when m+2 <= N <= m+1+SPAN, and the
+    # hooks (a, l) of Hilb^m, a + l <= m-1, grow with m: checking each N
+    # at the largest m <= 40 that can draw it covers every m <= 40
+    m_max = 40
+    for n in range(2, m_max + 2 + SPAN):
+        m = min(m_max, n - 2)
+        hooks = [(a, l) for a in range(m) for l in range(m - a)]
+        for frames in FRAMES.values():
+            for frame in frames:
+                u, v = (form.evaluate(1, n) for form in frame.coord_weights)
+                assert all((a + 1) * u != l * v and (l + 1) * v != a * u
+                           for a, l in hooks), (n, frame)
+
+
+@pytest.mark.parametrize("m", range(11))
+def test_drawn_pair_agrees_with_a_far_point(m):
+    # the first draw of the former sampler at seed 0, far from (1, N)
+    integrands = [IntegrandSpec(i, 2 * m - i) for i in range(2 * m + 1)]
+    far = fixed_point_sum(m, Specialization(770880, -192083, seed=0), integrands)
+    for spec in specializations(m, 0):
+        assert fixed_point_sum(m, spec, integrands) == far

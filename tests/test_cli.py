@@ -1,12 +1,13 @@
 import json
 import time
+from types import SimpleNamespace
 
 import pytest
 
 from donaldson_cp2 import barth, cli, engine, verify
 from donaldson_cp2.barth import DegenerateDatum, SamplingExhausted
 from donaldson_cp2.cli import ParseError, parse_integrand, run
-from donaldson_cp2.engine import DegreeMismatch, IntegrandSpec, SpecializationExhausted
+from donaldson_cp2.engine import DegreeMismatch, IntegrandSpec, integrate
 from donaldson_cp2.invariants import OutOfRange
 from donaldson_cp2.weights import DegenerateSpecialization
 
@@ -84,6 +85,24 @@ def test_json_output_schema(capsys):
     assert record["fixed_points"] == 22
     assert set(record["spec"]) == {"w1", "w2", "seed"}
     assert isinstance(record["elapsed_ms"], int)
+
+
+@pytest.mark.parametrize("argv,m", [
+    (["integrate", "--m", "3", "--expr", "c1(L)^3 * s3(E*L)"], 3),
+    (["darboux", "--n", "3", "--i", "2"], 4),
+    (["donaldson", "--n", "3"], 4),
+    (["table", "--n-max", "3"], 4),
+])
+def test_json_records_carry_both_specializations(capsys, argv, m):
+    assert run(["--format", "json", "--seed", "9", *argv]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    record = payload[-1] if isinstance(payload, list) else payload
+    res = integrate(m, IntegrandSpec(record["i"], record["k"]), seed=9)
+    assert record["spec"] == {"w1": str(res.spec_used.w1),
+                              "w2": str(res.spec_used.w2), "seed": 9}
+    assert record["check_spec"] == {"w1": str(res.cross_check_spec.w1),
+                                    "w2": str(res.cross_check_spec.w2), "seed": 9}
+    assert record["check_spec"] != record["spec"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -207,6 +226,25 @@ def test_witness_refuses_fewer_than_one_sample(capsys, samples):
         assert f"--samples must be at least 1, got {samples}" in captured.err
 
 
+def test_witness_n_cap(monkeypatch, capsys):
+    assert run(["--format", "json", "witness", "--n", str(barth.MAX_N)]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["all_verified"] is True
+    assert record["results"][0]["system_dimension"] == barth.MAX_N
+
+    # refused before any sampling: no generator is ever made
+    def no_sampling(seed):
+        raise AssertionError(f"sampled with seed {seed}")
+
+    monkeypatch.setattr(barth, "random", SimpleNamespace(Random=no_sampling))
+    for n in (barth.MAX_N + 1, 1):
+        assert run(["witness", "--n", str(n)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            f"error: ValueError: n must be in 2..{barth.MAX_N}, got {n}\n"
+
+
 def test_witness_seed_both_spellings(capsys):
     # the global --seed and the subcommand's --seed set one value
     for argv in (["--format", "json", "--seed", "7", "witness", "--n", "3"],
@@ -263,7 +301,6 @@ def test_every_command_honours_format(monkeypatch, capsys, cmd, fmt):
         (OutOfRange("out of range"), 2),
         (DegreeMismatch("too high"), 2),
         (DegenerateSpecialization("zero weight"), 1),
-        (SpecializationExhausted("no luck"), 1),
         (SamplingExhausted("no luck"), 1),
         (DegenerateDatum("vanishes"), 1),
     ]

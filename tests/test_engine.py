@@ -4,12 +4,13 @@ from fractions import Fraction
 import pytest
 
 from donaldson_cp2.engine import (
+    SPAN,
     DegreeMismatch,
     IntegrandSpec,
     Specialization,
     fixed_point_count,
     integrate,
-    sample_specialization,
+    specializations,
 )
 from donaldson_cp2.partitions import EMPTY, FixedPoint, Partition, enumerate_fixed_points
 from donaldson_cp2.weights import WeightForm, chart_frames
@@ -184,9 +185,15 @@ def test_fixed_point_count_is_the_number_of_fixed_points():
         assert fixed_point_count(m) == len(enumerate_fixed_points(m))
 
 
-def test_sample_specialization_avoids_degenerate_lines():
-    rng = random.Random(8)
-    for _ in range(100):
-        spec = sample_specialization(rng, 8)
-        assert spec.w1 != 0 and spec.w2 != 0 and spec.w1 != spec.w2
-        assert abs(spec.w1) <= 10**6 and abs(spec.w2) <= 10**6
+def test_specializations_are_two_distinct_points_of_the_family():
+    for m in (0, 3, 10, 40):
+        for seed in range(20):
+            first, second = specializations(m, seed)
+            assert specializations(m, seed) == (first, second)
+            assert first != second
+            for spec in (first, second):
+                assert spec.w1 == 1 and m + 1 < spec.w2 <= m + 1 + SPAN
+                assert spec.seed == seed
+        assert len({specializations(m, seed) for seed in range(20)}) > 1
+    res = integrate(3, IntegrandSpec(3, 3), seed=42)
+    assert (res.spec_used, res.cross_check_spec) == specializations(3, 42)
