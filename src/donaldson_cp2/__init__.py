@@ -11,7 +11,6 @@ from .invariants import (
     donaldson_q,
     invariant_table,
 )
-from .partitions import FixedPoint, Partition, enumerate_fixed_points, enumerate_partitions
 
 __all__ = [
     "IntegrandSpec",
@@ -24,8 +23,4 @@ __all__ = [
     "darboux_count",
     "donaldson_q",
     "invariant_table",
-    "FixedPoint",
-    "Partition",
-    "enumerate_fixed_points",
-    "enumerate_partitions",
 ]

@@ -1,57 +1,95 @@
 """The per-fixed-point evaluation of the fixed-point formula: the oracle
 the tests check the engine's chart sum against.
 
-At each torus-fixed point of Hilb^m(P^2) it builds the tangent weights,
-the E-weights and the weight of L as integer linear forms in the torus
-parameters, in the chart frames of `donaldson_cp2.weights`, and inverts
-the fixed point's Chern series.  Summing `integrand_at` over
-`enumerate_fixed_points(m)` gives what `engine.fixed_point_sum` gives
-chart by chart.
+It lists the fixed points of Hilb^m(P^2), triples of partitions (tuples)
+of total size m, by its own recursion, apart from the engine's.  At each
+it builds the tangent weights, the E-weights and the weight of L as
+integer forms (a, b), meaning a*w1 + b*w2, in the chart frames
+(u, v, line) of `engine.chart_frames`, and inverts the fixed point's
+Chern series.  Summing `integrand_at` over `enumerate_fixed_points(m)`
+gives what `engine.fixed_point_sum` gives chart by chart.
 """
 
 from fractions import Fraction
 
-from donaldson_cp2.engine import IntegrandSpec, Specialization
-from donaldson_cp2.partitions import FixedPoint, cells
-from donaldson_cp2.weights import (
+from donaldson_cp2.engine import (
     DEFAULT_FRAMES,
-    ZERO,
     DegenerateSpecialization,
-    WeightForm,
+    IntegrandSpec,
+    Specialization,
 )
 
+ZERO = (0, 0)
 
-def tangent_weights(fp: FixedPoint, frames=DEFAULT_FRAMES) -> list[WeightForm]:
+
+def form(x: int, f, y: int, g):
+    """The weight form x*f + y*g."""
+    return (x * f[0] + y * g[0], x * f[1] + y * g[1])
+
+
+def evaluate(f, w1: int, w2: int) -> int:
+    """The form f = (a, b) at the torus parameters: a*w1 + b*w2."""
+    return f[0] * w1 + f[1] * w2
+
+
+def enumerate_partitions(m: int, max_part=None) -> list[tuple[int, ...]]:
+    """All partitions of m, parts at most max_part (default m), in
+    reverse-lexicographic order: (m) first, (1,...,1) last."""
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    if m == 0:
+        return [()]
+    top = m if max_part is None else min(m, max_part)
+    return [(first,) + rest for first in range(top, 0, -1)
+            for rest in enumerate_partitions(m - first, first)]
+
+
+def enumerate_fixed_points(m: int) -> list[tuple[tuple[int, ...], ...]]:
+    """All fixed points of Hilb^m(P^2), one partition per chart.
+
+    Chart sizes (a, b, c) with a+b+c = m are iterated lexicographically,
+    partitions within a chart in reverse-lexicographic order.  The count
+    is the q^m coefficient of prod_k (1-q^k)^-3.
+    """
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    return [(p0, p1, p2)
+            for a in range(m + 1) for b in range(m - a + 1)
+            for p0 in enumerate_partitions(a)
+            for p1 in enumerate_partitions(b)
+            for p2 in enumerate_partitions(m - a - b)]
+
+
+def cells(p) -> list[tuple[int, int, int, int]]:
+    """(row, col, arm, leg) of every cell of the Young diagram of p, row
+    by row.  Cell (r, c) exists when c < p[r]; the arm counts the cells
+    strictly to its right, the leg the cells strictly below it."""
+    return [(r, c, part - c - 1, sum(1 for below in p[r + 1:] if below > c))
+            for r, part in enumerate(p) for c in range(part)]
+
+
+def tangent_weights(fp, frames=DEFAULT_FRAMES) -> list:
     """Tangent weights of Hilb^m(P^2) at fp, 2m forms in total.
 
     In a chart with coordinate weights (u, v), each cell s of the
     chart's partition contributes (arm(s)+1)*u - leg(s)*v and
     -arm(s)*u + (leg(s)+1)*v.
     """
-    out = []
-    for frame, mu in zip(frames, fp.mu):
-        u, v = frame.coord_weights
-        for s in cells(mu):
-            out.append(u.scale(s.arm + 1) - v.scale(s.leg))
-            out.append(v.scale(s.leg + 1) - u.scale(s.arm))
-    return out
+    return [w for (u, v, _), mu in zip(frames, fp) for _, _, arm, leg in cells(mu)
+            for w in (form(arm + 1, u, -leg, v), form(leg + 1, v, -arm, u))]
 
 
-def oz_weights(fp: FixedPoint, twist: int, frames=DEFAULT_FRAMES) -> list[WeightForm]:
+def oz_weights(fp, twist: int, frames=DEFAULT_FRAMES) -> list:
     """Character forms of the m-dimensional space of functions on the
     subscheme, twisted by O(twist).  Cell (r, c) in a chart with
-    coordinate weights (u, v) gives c*u + r*v + twist*line_weight.
+    coordinate weights (u, v) gives c*u + r*v + twist*line.
     """
-    out = []
-    for frame, mu in zip(frames, fp.mu):
-        u, v = frame.coord_weights
-        lw = frame.line_weight.scale(twist)
-        for s in cells(mu):
-            out.append(u.scale(s.col) + v.scale(s.row) + lw)
-    return out
+    return [form(1, form(col, u, row, v), twist, line)
+            for (u, v, line), mu in zip(frames, fp)
+            for row, col, _, _ in cells(mu)]
 
 
-def e_weights(fp: FixedPoint, frames=DEFAULT_FRAMES) -> list[WeightForm]:
+def e_weights(fp, frames=DEFAULT_FRAMES) -> list:
     """Fiber weights of the rank-m tautological bundle E at fp.
 
     E is the first derived pushforward of the twisted universal ideal
@@ -61,29 +99,29 @@ def e_weights(fp: FixedPoint, frames=DEFAULT_FRAMES) -> list[WeightForm]:
     return oz_weights(fp, -1, frames)
 
 
-def lambda_weight(fp: FixedPoint, frames=DEFAULT_FRAMES) -> WeightForm:
+def lambda_weight(fp, frames=DEFAULT_FRAMES):
     """Weight of c1(L) at fp, L = det(G) tensor det(E)^-1.
 
     The cell terms of the untwisted and twisted function spaces cancel,
-    leaving sum over charts of |partition| * line_weight.
+    leaving sum over charts of |partition| * line.
     """
     total = ZERO
-    for frame, mu in zip(frames, fp.mu):
-        total = total + frame.line_weight.scale(mu.size)
+    for (_, _, line), mu in zip(frames, fp):
+        total = form(1, total, sum(mu), line)
     return total
 
 
-def euler_class(fp: FixedPoint, w1: int, w2: int, frames=DEFAULT_FRAMES) -> int:
+def euler_class(fp, w1: int, w2: int, frames=DEFAULT_FRAMES) -> int:
     """Product of the specialized tangent weights at fp.
 
     Raises DegenerateSpecialization if any weight vanishes at (w1, w2).
     """
     prod = 1
-    for form in tangent_weights(fp, frames):
-        val = form.evaluate(w1, w2)
+    for f in tangent_weights(fp, frames):
+        val = evaluate(f, w1, w2)
         if val == 0:
             raise DegenerateSpecialization(
-                f"tangent weight {form.a}*w1+{form.b}*w2 vanishes at ({w1}, {w2})"
+                f"tangent weight {f[0]}*w1+{f[1]}*w2 vanishes at ({w1}, {w2})"
             )
         prod *= val
     return prod
@@ -119,7 +157,7 @@ def segre_coefficients(chern, k: int):
     return s
 
 
-def integrand_at(fp: FixedPoint, spec: Specialization, integrand: IntegrandSpec,
+def integrand_at(fp, spec: Specialization, integrand: IntegrandSpec,
                  frames=DEFAULT_FRAMES) -> Fraction:
     """Summand of the fixed-point formula at a single fixed point.
 
@@ -129,11 +167,11 @@ def integrand_at(fp: FixedPoint, spec: Specialization, integrand: IntegrandSpec,
     """
     w1, w2 = spec.w1, spec.w2
     euler = euler_class(fp, w1, w2, frames)
-    lam = lambda_weight(fp, frames).evaluate(w1, w2)
+    lam = evaluate(lambda_weight(fp, frames), w1, w2)
     # Segre roots carry the dual characters -(e_j + lambda); this is the
     # sign convention under which the five published Donaldson values
     # come out right, and it is pinned by the acceptance suite.
-    roots = [-(form.evaluate(w1, w2) + lam) for form in e_weights(fp, frames)]
+    roots = [-(evaluate(f, w1, w2) + lam) for f in e_weights(fp, frames)]
     k = integrand.k
     chern = elementary_symmetric(roots, min(k, len(roots)))
     s = segre_coefficients(chern, k)

@@ -9,25 +9,21 @@ from functools import lru_cache
 import pytest
 
 from donaldson_cp2.engine import (
+    DEFAULT_FRAMES,
     SPAN,
+    DegenerateSpecialization,
     DegreeMismatch,
     IntegrandSpec,
     Specialization,
+    chart_frames,
     fixed_point_sum,
     integrate,
     integrate_many,
     specializations,
 )
-from donaldson_cp2.partitions import enumerate_fixed_points
-from donaldson_cp2.weights import (
-    DEFAULT_FRAMES,
-    DegenerateSpecialization,
-    WeightForm,
-    chart_frames,
-)
-from fixed_point_reference import integrand_at, lambda_weight
+from fixed_point_reference import enumerate_fixed_points, evaluate, integrand_at, lambda_weight
 
-FRAMES = {"default": DEFAULT_FRAMES, "shifted": chart_frames(WeightForm(3, -2))}
+FRAMES = {"default": DEFAULT_FRAMES, "shifted": chart_frames((3, -2))}
 
 
 def reference_sum(fps, spec, integrand, frames):
@@ -51,7 +47,7 @@ def reference_table(fps, spec, m, frames):
     i-th power of the fixed point's weight of L."""
     table = {}
     for fp in fps:
-        lam = lambda_weight(fp, frames).evaluate(spec.w1, spec.w2)
+        lam = evaluate(lambda_weight(fp, frames), spec.w1, spec.w2)
         for k in range(2 * m + 1):
             summand = integrand_at(fp, spec, IntegrandSpec(0, k), frames)
             for i in range(2 * m + 1 - k):
@@ -161,7 +157,7 @@ def test_no_tangent_weight_vanishes_at_any_drawable_n():
         hooks = [(a, l) for a in range(m) for l in range(m - a)]
         for frames in FRAMES.values():
             for frame in frames:
-                u, v = (form.evaluate(1, n) for form in frame.coord_weights)
+                u, v = (evaluate(form, 1, n) for form in frame[:2])
                 assert all((a + 1) * u != l * v and (l + 1) * v != a * u
                            for a, l in hooks), (n, frame)
 

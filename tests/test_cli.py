@@ -7,9 +7,13 @@ import pytest
 from donaldson_cp2 import barth, cli, engine, verify
 from donaldson_cp2.barth import DegenerateDatum, SamplingExhausted
 from donaldson_cp2.cli import ParseError, parse_integrand, run
-from donaldson_cp2.engine import DegreeMismatch, IntegrandSpec, integrate
+from donaldson_cp2.engine import (
+    DegenerateSpecialization,
+    DegreeMismatch,
+    IntegrandSpec,
+    integrate,
+)
 from donaldson_cp2.invariants import OutOfRange
-from donaldson_cp2.weights import DegenerateSpecialization
 
 
 def test_parse_segre_only():
@@ -214,6 +218,35 @@ def test_integrate_negative_m(capsys):
     err = capsys.readouterr().err
     assert "ValueError: m must be nonnegative" in err
     assert "DegreeMismatch" not in err
+
+
+def test_m_cap(monkeypatch, capsys):
+    # at the cap, one cheap integrand (k = 0) through both commands
+    cap = engine.MAX_M
+    records = []
+    for argv in (["integrate", "--m", str(cap), "--expr", f"c1(L)^{2 * cap}"],
+                 ["darboux", "--n", str(cap - 1), "--i", str(2 * cap)]):
+        assert run(["--format", "json", *argv]) == 0
+        records.append(json.loads(capsys.readouterr().out))
+    assert records[0]["value"] == records[1]["value"]
+    assert {r["fixed_points"] for r in records} == {engine.fixed_point_count(cap)}
+
+    # above it, refused before any shape or table is built
+    def no_shapes(m):
+        raise AssertionError(f"built the shapes of Hilb^{m}")
+
+    monkeypatch.setattr(engine, "_shapes", no_shapes)
+    for argv, m in ((["integrate", "--m", str(cap + 1), "--expr", "s0(E*L)"], cap + 1),
+                    (["integrate", "--m", "40", "--expr", "s80(E*L)"], 40),
+                    (["darboux", "--n", str(cap), "--i", "0"], cap + 1),
+                    (["darboux", "--n", "40", "--i", "0"], 41)):
+        t0 = time.perf_counter()
+        assert run(argv) == 2
+        assert time.perf_counter() - t0 < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            f"error: ValueError: m must be at most MAX_M = {cap}, got {m}\n"
 
 
 @pytest.mark.parametrize("samples", ["0", "-2"])

@@ -2,13 +2,8 @@ import random
 
 import pytest
 
-from donaldson_cp2.partitions import (
-    EMPTY,
-    Partition,
-    cells,
-    enumerate_fixed_points,
-    enumerate_partitions,
-)
+from donaldson_cp2 import engine
+from fixed_point_reference import cells, enumerate_fixed_points, enumerate_partitions
 
 
 def partition_count_oracle(n):
@@ -34,16 +29,16 @@ def triple_count_oracle(m_max):
 
 
 def test_partitions_of_zero():
-    assert enumerate_partitions(0) == [EMPTY]
+    assert enumerate_partitions(0) == [()]
 
 
 def test_partitions_of_two_order():
-    assert [p.parts for p in enumerate_partitions(2)] == [(2,), (1, 1)]
+    assert enumerate_partitions(2) == [(2,), (1, 1)]
 
 
 def test_partitions_reverse_lex_order():
     for m in range(8):
-        seq = [p.parts for p in enumerate_partitions(m)]
+        seq = enumerate_partitions(m)
         assert seq == sorted(seq, reverse=True)
 
 
@@ -60,16 +55,11 @@ def test_partitions_distinct_and_valid():
     for m in range(9):
         seen = set()
         for p in enumerate_partitions(m):
-            assert p.size == m
-            assert p.parts not in seen
-            seen.add(p.parts)
-
-
-def test_partition_rejects_bad_parts():
-    with pytest.raises(ValueError):
-        Partition((1, 2))
-    with pytest.raises(ValueError):
-        Partition((2, 0))
+            assert sum(p) == m
+            assert all(part > 0 for part in p)
+            assert list(p) == sorted(p, reverse=True)
+            assert p not in seen
+            seen.add(p)
 
 
 def test_negative_m_rejected():
@@ -94,34 +84,33 @@ def test_fixed_points_distinct_and_sized():
     for m in range(6):
         seen = set()
         for fp in enumerate_fixed_points(m):
-            assert fp.size == m
-            key = tuple(p.parts for p in fp.mu)
-            assert key not in seen
-            seen.add(key)
+            assert sum(map(sum, fp)) == m
+            assert fp not in seen
+            seen.add(fp)
 
 
 def test_fixed_point_order_deterministic():
-    first = [tuple(p.parts for p in fp.mu) for fp in enumerate_fixed_points(4)]
-    second = [tuple(p.parts for p in fp.mu) for fp in enumerate_fixed_points(4)]
+    first = enumerate_fixed_points(4)
+    second = enumerate_fixed_points(4)
     assert first == second
     # chart sizes iterate lexicographically, so all size goes to chart 2 first
     assert first[0] == ((), (), (4,))
 
 
 def test_cells_single_box():
-    assert cells(Partition((1,))) == [(0, 0, 0, 0)]
+    assert cells((1,)) == [(0, 0, 0, 0)]
 
 
 def test_cells_hook():
-    by_pos = {(c.row, c.col): c for c in cells(Partition((2, 1)))}
-    assert by_pos[(0, 0)].arm == 1 and by_pos[(0, 0)].leg == 1
-    assert by_pos[(0, 1)].arm == 0 and by_pos[(0, 1)].leg == 0
-    assert by_pos[(1, 0)].arm == 0 and by_pos[(1, 0)].leg == 0
+    by_pos = {(row, col): (arm, leg) for row, col, arm, leg in cells((2, 1))}
+    assert by_pos[(0, 0)] == (1, 1)
+    assert by_pos[(0, 1)] == (0, 0)
+    assert by_pos[(1, 0)] == (0, 0)
 
 
 def test_cells_31_example():
-    by_pos = {(c.row, c.col): c for c in cells(Partition((3, 1)))}
-    assert by_pos[(0, 1)].arm == 1 and by_pos[(0, 1)].leg == 0
+    by_pos = {(row, col): (arm, leg) for row, col, arm, leg in cells((3, 1))}
+    assert by_pos[(0, 1)] == (1, 0)
 
 
 def test_cell_invariants_random_partitions():
@@ -131,9 +120,34 @@ def test_cell_invariants_random_partitions():
         p = rng.choice(enumerate_partitions(m))
         cs = cells(p)
         assert len(cs) == m
-        for c in cs:
-            assert c.col < p.parts[c.row]
-            assert c.arm + c.col + 1 == p.parts[c.row]
-            # leg recomputed by direct column scan
-            leg = sum(1 for r in range(c.row + 1, len(p.parts)) if p.parts[r] > c.col)
-            assert c.leg == leg
+        # heights[c]: the number of rows longer than c, the height of column c
+        heights = [sum(part > c for part in p) for c in range(p[0])]
+        for row, col, arm, leg in cs:
+            assert col < p[row]
+            assert arm + col + 1 == p[row]
+            # leg recomputed from the column heights
+            assert leg == heights[col] - row - 1
+
+
+@pytest.mark.parametrize("m", range(13))
+def test_engine_shapes_list_every_partition_once_with_its_hooks(m):
+    # rebuild each entry of the engine's listing from its parent chain and
+    # its cell, then compare with this module's independent enumeration
+    shapes = engine._shapes(m)
+    assert len(shapes) == m + 1
+    assert shapes[0] == ((None, None, ()),)
+    previous = [()]
+    for size in range(1, m + 1):
+        rebuilt = []
+        for parent, (row, col), hooks in shapes[size]:
+            parts = list(previous[parent])
+            assert row in (len(parts) - 1, len(parts))
+            if row == len(parts):
+                parts.append(0)
+            assert col == parts[row]
+            parts[row] += 1
+            p = tuple(parts)
+            assert sorted(hooks) == sorted((arm, leg) for _, _, arm, leg in cells(p))
+            rebuilt.append(p)
+        assert sorted(rebuilt) == sorted(enumerate_partitions(size))
+        previous = rebuilt
