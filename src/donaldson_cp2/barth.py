@@ -13,7 +13,7 @@ is computed over the integers.
 """
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate, combinations, repeat
 from math import gcd
 from operator import mul
@@ -53,20 +53,19 @@ def _det3(p: Point, q: Point, r: Point) -> int:
     )
 
 
-@dataclass(frozen=True)
-class PlaneConfiguration:
+class PlaneConfiguration(namedtuple("PlaneConfiguration", "points")):
     """n+1 points of P^2 in general position; their dual lines form the
     polygon whose nodes the determinantal curve must pass through.  A
     point is projective, so rational coordinates are scaled once, here,
     to an integer vector naming the same point."""
 
-    points: tuple[Point, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        points = tuple(tuple(clear_denominators(p)) for p in self.points)
+    def __new__(cls, points):
+        points = tuple(tuple(clear_denominators(p)) for p in points)
         if any(not any(p) for p in points):
             raise ValueError("zero vector is not a projective point")
-        object.__setattr__(self, "points", points)
+        return super().__new__(cls, points)
 
     @property
     def n(self) -> int:
@@ -86,22 +85,19 @@ class PlaneConfiguration:
         return True
 
 
-@dataclass(frozen=True)
-class HulsbergenDatum:
+class HulsbergenDatum(namedtuple("HulsbergenDatum", "config extension")):
     """A configuration and an extension vector, one entry per point.  The
     curve does not change when the extension is scaled, so a rational
     extension is scaled once, here, to an integer vector."""
 
-    config: PlaneConfiguration
-    extension: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.extension) != len(self.config.points):
+    def __new__(cls, config, extension):
+        if len(extension) != len(config.points):
             raise ValueError("extension length must be n+1")
-        if all(e == 0 for e in self.extension):
+        if all(e == 0 for e in extension):
             raise ValueError("extension vector must be nonzero (non-split)")
-        object.__setattr__(self, "extension",
-                           tuple(clear_denominators(self.extension)))
+        return super().__new__(cls, config, tuple(clear_denominators(extension)))
 
 
 def monomials(degree: int) -> list[tuple[int, int, int]]:
@@ -123,13 +119,11 @@ def monomial_values(degree: int, point) -> list:
             for i in range(degree, -1, -1) for j in range(degree - i, -1, -1)]
 
 
-@dataclass(frozen=True)
-class PlaneCurve:
+class PlaneCurve(namedtuple("PlaneCurve", "degree coefficients")):
     """A nonzero degree-d form on the dual plane, coefficients in the
     monomials(degree) order, primitive integers up to sign."""
 
-    degree: int
-    coefficients: tuple[int, ...]
+    __slots__ = ()
 
     def evaluate(self, line):
         """The form at a line, exactly: an int at an integer line and a

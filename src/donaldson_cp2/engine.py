@@ -50,7 +50,7 @@ sum is one integer numerator over the common denominator of the triples.
 """
 
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
@@ -95,33 +95,37 @@ def chart_frames(shift=(0, 0)):
 DEFAULT_FRAMES = chart_frames()
 
 
-@dataclass(frozen=True)
-class IntegrandSpec:
+class IntegrandSpec(namedtuple("IntegrandSpec", "i k")):
     """The class c1(L)^i * s_k(E tensor L)."""
 
-    i: int
-    k: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Specialization:
+class Specialization(namedtuple("Specialization", "w1 w2 seed")):
     """Integer values for the torus parameters, with the sampling seed."""
 
-    w1: int
-    w2: int
-    seed: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class IntegralResult:
-    value: Fraction
-    m: int
-    integrand: IntegrandSpec
-    spec_used: Specialization
-    cross_check_spec: Specialization
-    fixed_point_count: int
-    # seconds on perf_counter; a measurement, not part of the result
-    elapsed_s: float = field(compare=False)
+class IntegralResult(namedtuple("IntegralResult", "value m integrand spec_used "
+                                "cross_check_spec fixed_point_count elapsed_s")):
+    """One integral with how it was computed.  elapsed_s is seconds on
+    perf_counter: a measurement, not part of the result, so equality and
+    hashing skip it."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self[:-1] == other[:-1]
+
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    def __hash__(self):
+        return hash(self[:-1])
 
     @property
     def is_integral(self) -> bool:

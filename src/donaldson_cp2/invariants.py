@@ -6,7 +6,7 @@ rational prefactor: 1/2^(5-n) times the count with i = 5-n for
 2 <= n <= 5, and 2/5 times the count with i = 0 in the special case n = 6.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .engine import IntegralResult, IntegrandSpec, integrate, integrate_many
@@ -16,22 +16,15 @@ class OutOfRange(ValueError):
     """Arguments outside the range the formulas are valid for."""
 
 
-@dataclass(frozen=True)
-class DonaldsonResult:
-    n: int
-    q: int
-    raw_integral: Fraction
-    prefactor: Fraction
-    detail: IntegralResult
+class DonaldsonResult(namedtuple("DonaldsonResult",
+                                  "n q raw_integral prefactor detail")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DarbouxCount:
-    n: int
-    i: int
-    count: int
-    validated: bool  # False for n > 6: beyond the published range
-    detail: IntegralResult
+class DarbouxCount(namedtuple("DarbouxCount", "n i count validated detail")):
+    """validated is False for n > 6: beyond the published range."""
+
+    __slots__ = ()
 
 
 def _as_integer(value: Fraction, what: str) -> int:

@@ -262,7 +262,7 @@ def test_node_count():
 
 def test_extension_must_be_nonzero():
     config = sample_configuration(2, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nonzero"):
         HulsbergenDatum(config, (F(0), F(0), F(0)))
 
 
@@ -438,6 +438,28 @@ def test_rational_datum_equals_its_integer_rescaling(n):
 def test_zero_point_is_rejected():
     with pytest.raises(ValueError):
         PlaneConfiguration(((0, 0, 0), (1, 0, 0), (0, 1, 0)))
+    with pytest.raises(ValueError, match="zero vector"):
+        PlaneConfiguration(((F(0), F(0), F(0)), UNIT_POINTS[0], UNIT_POINTS[1]))
+
+
+def test_configuration_scales_rational_points_to_integer_vectors():
+    config = PlaneConfiguration(((Fraction(1, 2), Fraction(1, 3), 1), (2, -4, 6),
+                                 (0, Fraction(-3, 4), Fraction(1, 6))))
+    assert config.points == ((3, 2, 6), (2, -4, 6), (0, -9, 2))
+    assert all(type(x) is int for p in config.points for x in p)
+
+
+@pytest.mark.parametrize("extension", ((1, 2), (1, 2, 3, 4)))
+def test_datum_rejects_an_extension_of_the_wrong_length(extension):
+    with pytest.raises(ValueError, match="length"):
+        HulsbergenDatum(PlaneConfiguration(UNIT_POINTS), extension)
+
+
+def test_datum_scales_a_rational_extension():
+    datum = HulsbergenDatum(PlaneConfiguration(UNIT_POINTS),
+                            (Fraction(1, 2), Fraction(-2, 3), 1))
+    assert datum.extension == (3, -4, 6)
+    assert all(type(e) is int for e in datum.extension)
 
 
 def test_sample_datum_and_curve_are_plain_ints():
