@@ -67,6 +67,11 @@ class PlaneConfiguration(namedtuple("PlaneConfiguration", "points")):
             raise ValueError("zero vector is not a projective point")
         return super().__new__(cls, points)
 
+    @classmethod
+    def _make(cls, fields):
+        # through __new__, so that _make and _replace check and scale too
+        return cls(*fields)
+
     @property
     def n(self) -> int:
         return len(self.points) - 1
@@ -98,6 +103,11 @@ class HulsbergenDatum(namedtuple("HulsbergenDatum", "config extension")):
         if all(e == 0 for e in extension):
             raise ValueError("extension vector must be nonzero (non-split)")
         return super().__new__(cls, config, tuple(clear_denominators(extension)))
+
+    @classmethod
+    def _make(cls, fields):
+        # through __new__, so that _make and _replace check and scale too
+        return cls(*fields)
 
 
 def monomials(degree: int) -> list[tuple[int, int, int]]:
@@ -192,6 +202,11 @@ def barth_curve(datum: HulsbergenDatum) -> PlaneCurve:
 
         sum_j det(P without column j) det(K without row j) f_j
               prod_{i != j} ell(z_i).
+
+    P = [-1 | I_n], so det(P without column j) is (-1)^j: without column 0
+    it is I_n, and without column j > 0, j - 1 swaps move the column of
+    -1s to place j, where it is I_n's only changed column and contributes
+    its diagonal -1.  Only K's minors are computed, by Bareiss elimination.
     """
     n = datum.config.n
     ext, points = datum.extension, datum.config.points
@@ -203,15 +218,12 @@ def barth_curve(datum: HulsbergenDatum) -> PlaneCurve:
     columns = [j for j in range(n + 1) if j != pivot]
     kernel = [[-ext[j] if i == pivot else ext[pivot] * (i == j) for j in columns]
               for i in range(n + 1)]
-    differences = [[-1] + [int(c == r) for c in range(1, n + 1)]
-                   for r in range(1, n + 1)]
 
     # one sweep: after point j, total is the sum above restricted to the
     # points 0..j, and product is prod_{i <= j} ell(z_i)
     total, product = [], [1]
     for j, point in enumerate(points):
-        minor = (bareiss_det([row[:j] + row[j + 1:] for row in differences])
-                 * bareiss_det(kernel[:j] + kernel[j + 1:])
+        minor = ((-1) ** j * bareiss_det(kernel[:j] + kernel[j + 1:])
                  * next(c for c in point if c != 0))
         total = [t + minor * c
                  for t, c in zip(_times_linear(total, j - 1, point), product)]

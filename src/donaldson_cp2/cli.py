@@ -3,13 +3,15 @@
 Subcommands: donaldson, darboux, integrate, table, witness, verify.
 Results go to stdout, in the --format that `_emit` alone reads.  Exit
 code 0 on success; package errors carry their own code: a usage error
-is a ValueError (2) and a failed computation an ArithmeticError (1).
+is a ValueError (2) and a failed computation an ArithmeticError (1).  A
+reader that closes stdout early gets exit code 1 and no traceback.
 Big numerics are serialized as decimal strings in JSON because the
 values routinely exceed 64-bit range.
 """
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -250,7 +252,15 @@ def run(argv) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        # flushed here, so that a reader gone early is met in this try
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Python flushes stdout again at exit: point it at os.devnull, as
+        # the signal module's documentation advises, and exit 1 quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, ArithmeticError) as exc:
         # usage errors subclass ValueError, failed computations ArithmeticError
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

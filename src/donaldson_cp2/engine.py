@@ -33,28 +33,36 @@ Segre class of the roots -(e_j + lambda) is s_k = h_k(e + lambda), and
     h_k(e_1 + y, ..., e_r + y) = sum_l C(r-1+k, k-l) y^(k-l) h_l(e).
 
 So the fixed points with chart sizes (a, b, c) contribute lambda^i times
-the rank-m shift by lambda of the product of three chart series
+the rank-m shift by lambda of the product X of three chart series
 sum_{mu |- size} h(e^mu) / euler_mu, each of which depends on the chart
-and the size alone.  The per-fixed-point summand, which builds each
-fixed point's weight forms and inverts its Chern series, lives in
-tests/fixed_point_reference.py as the oracle the tests check the chart
-sum against.
+and the size alone; the chart tables hold them as reduced fractions, and
+the series of an empty chart is 1.  Summed over the triples,
+
+    sum lambda^i s_k = sum_l C(m-1+k, k-l) sum lambda^(i+k-l) X_l,
+
+so the shift needs, per degree d = i + k, one vector of sums
+sum lambda^(d-l) X_l over the triples, and each integrand is a binomial
+dot product with it: the Segre-basis sum.  The per-fixed-point summand,
+which builds each fixed point's weight forms and inverts its Chern
+series, lives in tests/fixed_point_reference.py as the oracle the tests
+check the chart sum against.
 
 The unit of work is one pass over Hilb^m: `integrate_many` evaluates any
 number of integrands on one m from one set of chart tables per
 specialization, built up to the largest k.  Each integral is a different
 linear functional on the same per-triple series, so the tables, the
-series products and the shift for each distinct k are shared, and every
-sum is one integer numerator over the common denominator of the triples.
-`integrate` is the one-integrand pass.
+series products and the Segre-basis sums of each degree are shared, and
+every sum is one integer numerator over the common denominator of the
+triples.  `integrate` is the one-integrand pass.
 """
 
 import random
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
-from operator import mul
+from itertools import accumulate, repeat
+from math import comb, gcd, lcm
+from operator import add, mul
 from time import perf_counter
 
 
@@ -180,12 +188,14 @@ def fixed_point_count(m: int) -> int:
 
 
 def _chart_table(shapes, frame, w1: int, w2: int, k: int):
-    """One chart's series, per size: (D, H) with H[l] = D * sum over the
-    partitions mu of that size of h_l(e^mu) / euler_mu, for l = 0..k.
+    """One chart's series, per size: (D, H) with H[l] / D the sum over the
+    partitions mu of that size of h_l(e^mu) / euler_mu, for l = 0..k, in
+    lowest terms: gcd(D, *H) = 1 and D > 0.
 
-    euler_mu is the product of mu's tangent weights, e^mu its E-weights
-    and D the lcm of the euler_mu.  h(e^mu) extends its parent's series
-    by the one new cell.  Raises DegenerateSpecialization if any tangent
+    euler_mu is the product of mu's tangent weights and e^mu its
+    E-weights.  h(e^mu) extends its parent's series by the one new cell,
+    and the partitions are summed over the lcm of their euler_mu before
+    the entry is reduced.  Raises DegenerateSpecialization if any tangent
     weight vanishes.
     """
     u, v, line = (a * w1 + b * w2 for a, b in frame)
@@ -211,7 +221,9 @@ def _chart_table(shapes, frame, w1: int, w2: int, k: int):
             hs.append(h)
         denom = lcm(*eulers)
         scales = [denom // euler for euler in eulers]
-        table.append((denom, [sum(map(mul, scales, coeffs)) for coeffs in zip(*hs)]))
+        series = [sum(map(mul, scales, coeffs)) for coeffs in zip(*hs)]
+        g = gcd(denom, *series)
+        table.append((denom // g, [h_l // g for h_l in series]))
         parent_hs = hs
     return [(1, [1] + [0] * k)] + table
 
@@ -227,41 +239,66 @@ def fixed_point_sum(m: int, spec: Specialization, integrands,
     Hilb^m of lambda^i * s_k / euler, one value per integrand, computed
     chart by chart.
 
-    The chart tables are built once, up to the largest k, and the chart
-    series are multiplied once per triple of chart sizes; the shift by
-    lambda is taken once per distinct k.  Each integral is one integer
-    numerator over the common denominator of all triples, so the pass
-    ends in one Fraction per integrand.  Raises DegenerateSpecialization
-    exactly when some fixed point has a vanishing tangent weight.
+    The chart tables are built once, up to the largest k, in lowest
+    terms.  Per triple of chart sizes the series of the nonempty charts
+    are multiplied, truncated at the largest k: an empty chart's series
+    is 1, so a triple with one empty chart costs one product and a triple
+    with two costs none.  The shift by lambda is taken once, at the end,
+    in the Segre basis:
+
+        lambda^i s_k = sum_l C(m-1+k, k-l) lambda^(i+k-l) h_l,
+
+    so for each degree d = i + k the pass accumulates
+    sum over triples of lambda^(d-l) * X_l, X the triple's product
+    series, for l up to the largest k of that degree, and each integral
+    is one binomial dot product with it.  All of it is integer: every
+    sum is one numerator over the common denominator of the triples, so
+    the pass ends in one Fraction per integrand.  Raises
+    DegenerateSpecialization exactly when some fixed point has a
+    vanishing tangent weight.
     """
     shapes = _shapes(m)
     w1, w2 = spec.w1, spec.w2
     k_max = max((integrand.k for integrand in integrands), default=0)
     tables = [_chart_table(shapes, frame, w1, w2, k_max) for frame in frames]
     lines = [a * w1 + b * w2 for _, _, (a, b) in frames]
-    # s_k of the rank-m sum shifted by lambda is sum_l C(m-1+k, k-l)
-    # lambda^(k-l) h_l, taken by Horner; the l = k binomial is written
-    # as 1 because comb(-1, 0) raises at m = 0
-    shifts = {k: [comb(m + k - 1, k - l) for l in range(k)] + [1]
-              for k in {integrand.k for integrand in integrands}}
-    triples = [(tables[0][a], tables[1][b], tables[2][m - a - b],
-                a * lines[0] + b * lines[1] + (m - a - b) * lines[2])
-               for a in range(m + 1) for b in range(m - a + 1)]
-    denominator = lcm(*(den_a * den_b * den_c
-                        for (den_a, _), (den_b, _), (den_c, _), _ in triples))
-    numerators = [0] * len(integrands)
-    for (den_a, h_a), (den_b, h_b), (den_c, h_c), lam in triples:
-        h = _convolve(_convolve(h_a, h_b), h_c)
-        scale = denominator // (den_a * den_b * den_c)
-        s = {}
-        for k, shift in shifts.items():
-            s_k = 0
-            for coeff, h_l in zip(shift, h):
-                s_k = s_k * lam + coeff * h_l
-            s[k] = scale * s_k
-        for j, integrand in enumerate(integrands):
-            numerators[j] += lam**integrand.i * s[integrand.k]
-    return tuple(Fraction(numerator, denominator) for numerator in numerators)
+    # per degree d = i + k, the largest k: its sums run over l = 0..k
+    tops = {}
+    for integrand in integrands:
+        d = integrand.i + integrand.k
+        tops[d] = max(integrand.k, tops.get(d, 0))
+    d_max = max(tops, default=0)
+    triples = []
+    for a in range(m + 1):
+        for b in range(m - a + 1):
+            sizes = (a, b, m - a - b)
+            charts = [table[size] for table, size in zip(tables, sizes)]
+            # an empty chart's series is 1, so only the nonempty ones are
+            # multiplied; at m = 0 all three are empty
+            series = [h for size, (_, h) in zip(sizes, charts) if size]
+            triples.append((charts[0][0] * charts[1][0] * charts[2][0],
+                            series or [charts[0][1]],
+                            sum(map(mul, sizes, lines))))
+    denominator = lcm(*(den for den, _, _ in triples))
+    sums = {d: [0] * (top + 1) for d, top in tops.items()}
+    for den, series, lam in triples:
+        product = series[0]
+        for h in series[1:]:
+            product = _convolve(product, h)
+        # scale * lam^j for j = 0..d_max
+        powers = list(accumulate(repeat(lam, d_max), mul,
+                                 initial=denominator // den))
+        for d, acc in sums.items():
+            sums[d] = list(map(add, acc, map(mul, powers[d::-1], product)))
+    values = []
+    for integrand in integrands:
+        k = integrand.k
+        # C(m-1+k, k-l) for l = 0..k, the last written as 1 because
+        # comb(-1, 0) raises at m = 0
+        binomials = [comb(m - 1 + k, k - l) for l in range(k)] + [1]
+        values.append(Fraction(sum(map(mul, binomials, sums[integrand.i + k])),
+                               denominator))
+    return tuple(values)
 
 
 def integrate_many(m: int, integrands, *, seed: int = 0,

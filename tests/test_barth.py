@@ -462,6 +462,43 @@ def test_datum_scales_a_rational_extension():
     assert all(type(e) is int for e in datum.extension)
 
 
+def test_make_and_replace_check_and_scale_a_configuration():
+    config = PlaneConfiguration(UNIT_POINTS)
+    zero = (F(0), F(0), F(0))
+    with pytest.raises(ValueError, match="zero vector"):
+        PlaneConfiguration._make((((0, 0, 0),) + UNIT_POINTS[1:],))
+    with pytest.raises(ValueError, match="zero vector"):
+        config._replace(points=(zero,) + UNIT_POINTS[1:])
+    rational = ((Fraction(1, 2), Fraction(1, 3), 1), (2, -4, 6),
+                (0, Fraction(-3, 4), Fraction(1, 6)))
+    want = ((3, 2, 6), (2, -4, 6), (0, -9, 2))
+    assert PlaneConfiguration._make((rational,)).points == want
+    assert config._replace(points=rational).points == want
+
+
+def test_make_and_replace_check_and_scale_a_datum():
+    config = PlaneConfiguration(UNIT_POINTS)
+    datum = HulsbergenDatum(config, (1, 1, 1))
+    with pytest.raises(ValueError, match="nonzero"):
+        HulsbergenDatum._make((config, (0, 0, 0)))
+    with pytest.raises(ValueError, match="nonzero"):
+        datum._replace(extension=(F(0), 0, 0))
+    with pytest.raises(ValueError, match="length"):
+        datum._replace(extension=(1, 2))
+    rational = (Fraction(1, 2), Fraction(-2, 3), 1)
+    assert HulsbergenDatum._make((config, rational)).extension == (3, -4, 6)
+    assert datum._replace(extension=rational).extension == (3, -4, 6)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_difference_matrix_minors_are_alternating_signs(n):
+    # barth_curve uses det(P without column j) = (-1)^j for P = [-1 | I_n]
+    differences = [[-1] + [int(c == r) for c in range(1, n + 1)]
+                   for r in range(1, n + 1)]
+    for j in range(n + 1):
+        assert bareiss_det([row[:j] + row[j + 1:] for row in differences]) == (-1) ** j
+
+
 def test_sample_datum_and_curve_are_plain_ints():
     for n in (2, 5, 8):
         datum = sample_datum(n, seed=1)

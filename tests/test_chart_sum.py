@@ -5,9 +5,11 @@ weight forms and inverts its Chern series (fixed_point_reference.py)."""
 import random
 from fractions import Fraction
 from functools import lru_cache
+from math import comb, gcd
 
 import pytest
 
+from donaldson_cp2 import engine
 from donaldson_cp2.engine import (
     DEFAULT_FRAMES,
     SPAN,
@@ -21,7 +23,17 @@ from donaldson_cp2.engine import (
     integrate_many,
     specializations,
 )
-from fixed_point_reference import enumerate_fixed_points, evaluate, integrand_at, lambda_weight
+from fixed_point_reference import (
+    e_weights,
+    elementary_symmetric,
+    enumerate_fixed_points,
+    enumerate_partitions,
+    euler_class,
+    evaluate,
+    integrand_at,
+    lambda_weight,
+    segre_coefficients,
+)
 
 FRAMES = {"default": DEFAULT_FRAMES, "shifted": chart_frames((3, -2))}
 
@@ -169,3 +181,49 @@ def test_drawn_pair_agrees_with_a_far_point(m):
     far = fixed_point_sum(m, Specialization(770880, -192083, seed=0), integrands)
     for spec in specializations(m, 0):
         assert fixed_point_sum(m, spec, integrands) == far
+
+
+def reference_chart_series(chart, size, spec, k, frames):
+    """sum over the partitions mu of size in chart of h_l(e^mu) / euler_mu,
+    l = 0..k, from the oracle's weights: h(e) is the Segre series of the
+    roots -e."""
+    series = [Fraction(0)] * (k + 1)
+    for mu in enumerate_partitions(size):
+        fp = tuple(mu if j == chart else () for j in range(3))
+        roots = [-evaluate(f, spec.w1, spec.w2) for f in e_weights(fp, frames)]
+        h = segre_coefficients(elementary_symmetric(roots, min(k, len(roots))), k)
+        euler = euler_class(fp, spec.w1, spec.w2, frames)
+        series = [total + Fraction(h_l, euler) for total, h_l in zip(series, h)]
+    return series
+
+
+@pytest.mark.parametrize("frames_name", sorted(FRAMES))
+@pytest.mark.parametrize("m", range(7))
+def test_chart_tables_are_the_reference_series_in_lowest_terms(m, frames_name):
+    frames = FRAMES[frames_name]
+    for spec in specializations(m, 0):
+        for chart, frame in enumerate(frames):
+            table = engine._chart_table(engine._shapes(m), frame, spec.w1, spec.w2, 2 * m)
+            assert len(table) == m + 1
+            for size, (denom, series) in enumerate(table):
+                assert denom > 0 and gcd(denom, *series) == 1, (size, denom)
+                assert [Fraction(h_l, denom) for h_l in series] == \
+                    reference_chart_series(chart, size, spec, 2 * m, frames)
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_one_pass_multiplies_only_the_nonempty_charts(m, monkeypatch):
+    # a triple of sizes with three nonempty charts costs two products, one
+    # with one empty chart costs one, and one with two costs none
+    products = []
+    convolve = engine._convolve
+
+    def counted(p, q):
+        products.append(len(p))
+        return convolve(p, q)
+
+    monkeypatch.setattr(engine, "_convolve", counted)
+    integrands = [IntegrandSpec(i, 2 * m - i) for i in range(2 * m + 1)]
+    fixed_point_sum(m, specializations(m, 0)[0], integrands)
+    assert len(products) == 2 * comb(m - 1, 2) + 3 * (m - 1)
+    assert set(products) <= {2 * m + 1}

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from types import SimpleNamespace
 
@@ -364,3 +367,21 @@ def test_witness_failure_path(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["all_verified"] is False
     ok, detail = verify.check_barth_witness()
     assert ok is False and detail == "incidence failed at n=2, seed 0"
+
+
+@pytest.mark.parametrize("argv", [["table", "--n-max", "6"],
+                                  ["--format", "csv", "witness", "--n", "3"]])
+def test_a_reader_that_closes_stdout_early_gets_no_traceback(argv):
+    # as in `donaldson-cp2 table --n-max 6 | head -n 1`, but with the read
+    # end closed before the child starts, so that its first write fails
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "donaldson_cp2.cli", *argv],
+                              env=dict(os.environ, PYTHONPATH=src), stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == ""
+    assert proc.returncode == 1
