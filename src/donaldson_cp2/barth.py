@@ -63,8 +63,8 @@ class PlaneConfiguration(namedtuple("PlaneConfiguration", "points")):
 
     def __new__(cls, points):
         points = tuple(tuple(clear_denominators(p)) for p in points)
-        if any(not any(p) for p in points):
-            raise ValueError("zero vector is not a projective point")
+        if any(len(p) != 3 or not any(p) for p in points):
+            raise ValueError("a point of P^2 is a nonzero vector of three coordinates")
         return super().__new__(cls, points)
 
     @classmethod

@@ -6,17 +6,16 @@ The modular rank packs each row into one int, one slot per column, of
 width 2 * P.bit_length() + rows.bit_length() + 1 bits: a slot stays
 below P + rows * P**2, so elimination never carries between slots."""
 
-from fractions import Fraction
 from math import lcm
 
 P = 2**30 - 35  # the largest prime below 2**30: a reduced entry is one CPython digit
 
 
 def clear_denominators(row) -> list[int]:
-    """Scale a row of Fractions/ints to integers by the lcm of denominators."""
-    fracs = [Fraction(x) for x in row]
-    scale = lcm(*(x.denominator for x in fracs))
-    return [int(x * scale) for x in fracs]
+    """Scale a row of ints, Fractions or floats to integers by the lcm of denominators."""
+    ratios = [x.as_integer_ratio() for x in row]
+    scale = lcm(*(d for _, d in ratios))
+    return [n * (scale // d) for n, d in ratios]
 
 
 def _eliminate(matrix) -> tuple[int, int, int]:

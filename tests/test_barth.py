@@ -2,6 +2,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -227,6 +228,18 @@ def test_bareiss_det_against_fraction_elimination():
 def test_clear_denominators():
     assert clear_denominators([Fraction(1, 2), Fraction(1, 3)]) == [3, 2]
     assert clear_denominators([2, -1]) == [2, -1]
+    assert clear_denominators([0.5, True, Fraction(1, 3)]) == [3, 6, 2]
+    assert clear_denominators([]) == []
+    rows = ([3, Fraction(-5, 6), 0, Fraction(7, 4)],  # ints and Fractions
+            [Fraction(-1, 2), 0, -4, Fraction(-9, 10)],  # negatives and zero
+            [0, 0], [0.5, True], [-0.75, 2, Fraction(1, 6)], [])
+    for row in rows:
+        # the former rule: scale the Fractions by the lcm of their denominators
+        fracs = [Fraction(x) for x in row]
+        scale = lcm(*(x.denominator for x in fracs))
+        got = clear_denominators(row)
+        assert got == [int(x * scale) for x in fracs], row
+        assert all(type(x) is int for x in got)
 
 
 def test_sample_configuration_generic():
@@ -440,6 +453,15 @@ def test_zero_point_is_rejected():
         PlaneConfiguration(((0, 0, 0), (1, 0, 0), (0, 1, 0)))
     with pytest.raises(ValueError, match="zero vector"):
         PlaneConfiguration(((F(0), F(0), F(0)), UNIT_POINTS[0], UNIT_POINTS[1]))
+
+
+@pytest.mark.parametrize("bad", ((1, 2), (1, 0, 1, 1)), ids=("two", "four"))
+def test_point_without_three_coordinates_is_rejected(bad):
+    # rejected when built, not later by is_generic or barth_curve
+    with pytest.raises(ValueError, match="three coordinates"):
+        PlaneConfiguration((bad, (0, 1, 1), (1, 0, 1)))
+    with pytest.raises(ValueError, match="three coordinates"):
+        PlaneConfiguration(UNIT_POINTS)._replace(points=UNIT_POINTS[:2] + (bad,))
 
 
 def test_configuration_scales_rational_points_to_integer_vectors():

@@ -1,5 +1,6 @@
 """The result records: immutable, compared and hashed by value, with a
-stable repr, and loaded without dataclasses or inspect."""
+stable repr, and loaded without dataclasses or inspect; and the package
+root, which loads the engine and the invariants only on first use."""
 
 import os
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 
 import donaldson_cp2
 from donaldson_cp2 import (IntegralResult, IntegrandSpec, darboux_count, donaldson_q,
-                           integrate)
+                           engine, integrate, invariants)
 from donaldson_cp2.barth import barth_curve, sample_datum
 
 
@@ -56,18 +57,81 @@ def test_integrand_is_a_dict_key():
     assert table[IntegrandSpec(0, 4)] == "b"
 
 
-def test_package_import_loads_no_dataclasses_or_inspect():
-    # pytest itself loads dataclasses, so the import runs in a fresh,
-    # isolated interpreter that sees only this package's source
+def _newly_loaded(body, heavy):
+    """The modules of `heavy` that `body` loads in a fresh, isolated
+    interpreter that sees only this package's source.  pytest loads
+    dataclasses and decimal, and the tests load the engine and fractions,
+    so nothing can be checked in this process."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(donaldson_cp2.__file__)))
     child = (
         "import sys\n"
         "before = set(sys.modules)\n"
         "sys.path.insert(0, sys.argv[1])\n"
-        "import donaldson_cp2, donaldson_cp2.barth, donaldson_cp2.verify, donaldson_cp2.cli\n"
-        "heavy = {'dataclasses', 'inspect', 'ast', 'dis'}\n"
-        "print(' '.join(sorted(heavy & (set(sys.modules) - before))))\n"
+        f"{body}\n"
+        f"print(' '.join(sorted({set(heavy)!r} & (set(sys.modules) - before))))\n"
     )
     proc = subprocess.run([sys.executable, "-I", "-c", child, src],
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.split() == []
+    return proc.stdout.split()
+
+
+def test_package_import_loads_no_dataclasses_or_inspect():
+    body = "import donaldson_cp2, donaldson_cp2.barth, donaldson_cp2.verify, donaldson_cp2.cli"
+    assert _newly_loaded(body, {"dataclasses", "inspect", "ast", "dis"}) == []
+
+
+def test_witness_loads_neither_the_engine_nor_fractions():
+    body = (
+        "import donaldson_cp2, donaldson_cp2.barth as barth\n"
+        "datum = barth.sample_datum(3, 0)\n"
+        "curve = barth.barth_curve(datum)\n"
+        "assert barth.verify_darboux(datum.config, curve)\n"
+        "assert barth.darboux_system_dimension(datum.config) == 3"
+    )
+    heavy = {"fractions", "decimal", "numbers", "donaldson_cp2.engine",
+             "donaldson_cp2.invariants"}
+    assert _newly_loaded(body, heavy) == []
+
+
+def test_root_names_are_the_submodules_own():
+    homes = {name: engine for name in ("IntegrandSpec", "IntegralResult", "integrate",
+                                       "integrate_many")}
+    homes.update((name, invariants) for name in ("DarbouxCount", "DonaldsonResult",
+                                                 "OutOfRange", "darboux_count",
+                                                 "donaldson_q", "invariant_table"))
+    assert sorted(donaldson_cp2.__all__) == sorted(homes)
+    for name, home in homes.items():
+        assert getattr(donaldson_cp2, name) is getattr(home, name), name
+    assert donaldson_cp2.engine is engine
+    assert donaldson_cp2.invariants is invariants
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from donaldson_cp2 import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(donaldson_cp2.__all__)
+
+
+def test_unknown_root_attribute_names_the_module():
+    with pytest.raises(AttributeError, match="'donaldson_cp2' has no attribute 'nope'"):
+        donaldson_cp2.nope
+
+
+def test_root_dir_lists_the_public_names_and_submodules():
+    listed = dir(donaldson_cp2)
+    assert set(donaldson_cp2.__all__) | {"engine", "invariants"} <= set(listed)
+    assert listed == sorted(listed)
+
+
+def test_bare_import_resolves_names_and_submodules():
+    # the root alone, in a fresh interpreter, before anything else is loaded
+    body = (
+        "import donaldson_cp2\n"
+        "assert 'donaldson_cp2.engine' not in sys.modules\n"
+        "from donaldson_cp2 import integrate\n"
+        "assert donaldson_cp2.engine.integrate is integrate\n"
+        "assert donaldson_cp2.invariants.invariant_table is donaldson_cp2.invariant_table\n"
+        "assert 'integrate' in vars(donaldson_cp2)"
+    )
+    assert _newly_loaded(body, {"donaldson_cp2.engine", "donaldson_cp2.invariants"}) == [
+        "donaldson_cp2.engine", "donaldson_cp2.invariants"]
