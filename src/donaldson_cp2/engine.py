@@ -135,10 +135,6 @@ class IntegralResult(namedtuple("IntegralResult", "value m integrand spec_used "
     def __hash__(self):
         return hash(self[:-1])
 
-    @property
-    def is_integral(self) -> bool:
-        return self.value.denominator == 1
-
 
 def specializations(m: int, seed: int) -> tuple[Specialization, Specialization]:
     """The two specializations (1, N) and (1, N') of Hilb^m at seed: two

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import donaldson_cp2
 from donaldson_cp2 import barth, cli, engine, verify
 from donaldson_cp2.barth import DegenerateDatum, SamplingExhausted
 from donaldson_cp2.cli import ParseError, parse_integrand, run
@@ -252,14 +253,19 @@ def test_m_cap(monkeypatch, capsys):
             f"error: ValueError: m must be at most MAX_M = {cap}, got {m}\n"
 
 
-@pytest.mark.parametrize("samples", ["0", "-2"])
-def test_witness_refuses_fewer_than_one_sample(capsys, samples):
-    # with no sample checked, nothing may be reported as verified
+@pytest.mark.parametrize("samples", ["0", "-2", str(cli.MAX_SAMPLES + 1)])
+def test_witness_refuses_samples_outside_range(monkeypatch, capsys, samples):
+    # with no sample checked, nothing may be reported as verified; above
+    # the cap, the call is refused before the first sample is drawn
+    def no_sampling(n, seed):
+        raise AssertionError("sampled before the check")
+
+    monkeypatch.setattr(barth, "sample_datum", no_sampling)
     for fmt in ("text", "json"):
         assert run(["--format", fmt, "witness", "--n", "3", "--samples", samples]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"--samples must be at least 1, got {samples}" in captured.err
+        assert f"--samples must be in 1..{cli.MAX_SAMPLES}, got {samples}" in captured.err
 
 
 def test_witness_n_cap(monkeypatch, capsys):
@@ -346,7 +352,7 @@ def test_exit_code_rule(monkeypatch, capsys, exc, code):
     def fail(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr(cli, "donaldson_q", fail)
+    monkeypatch.setattr(donaldson_cp2, "donaldson_q", fail)
     assert run(["donaldson", "--n", "3"]) == code
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -93,6 +93,29 @@ def test_witness_loads_neither_the_engine_nor_fractions():
     assert _newly_loaded(body, heavy) == []
 
 
+def _cli_run(argv):
+    """A child body that runs the CLI on argv, with its output discarded."""
+    return ("import contextlib, io\n"
+            "from donaldson_cp2 import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.run({argv!r}) == 0")
+
+
+@pytest.mark.parametrize("argv", [["witness", "--n", "3"], ["--help"]],
+                         ids=["witness", "help"])
+def test_cli_witness_and_help_load_no_engine_fractions_or_verify(argv):
+    heavy = {"fractions", "decimal", "numbers", "donaldson_cp2.engine",
+             "donaldson_cp2.invariants", "donaldson_cp2.verify"}
+    assert _newly_loaded(_cli_run(argv), heavy) == []
+
+
+def test_cli_donaldson_loads_the_engine_and_the_invariants():
+    # the control: the guard above can see these modules once a command needs them
+    body = _cli_run(["donaldson", "--n", "2"])
+    assert _newly_loaded(body, {"donaldson_cp2.engine", "donaldson_cp2.invariants"}) == [
+        "donaldson_cp2.engine", "donaldson_cp2.invariants"]
+
+
 def test_root_names_are_the_submodules_own():
     homes = {name: engine for name in ("IntegrandSpec", "IntegralResult", "integrate",
                                        "integrate_many")}
