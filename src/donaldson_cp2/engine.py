@@ -54,11 +54,15 @@ linear functional on the same per-triple series, so the tables, the
 series products and the Segre-basis sums of each degree are shared, and
 every sum is one integer numerator over the common denominator of the
 triples.  `integrate` is the one-integrand pass.
+
+Every value is an int: the fixed-point sum of an integral class on the
+smooth projective Hilb^m(P^2) is its equivariant integral, a polynomial
+in (w1, w2) with integer coefficients.  The pass divides exactly, and a
+remainder, which only wrong weights leave, raises ArithmeticError.
 """
 
 import random
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat
 from math import comb, gcd, lcm
@@ -117,9 +121,9 @@ class Specialization(namedtuple("Specialization", "w1 w2 seed")):
 
 class IntegralResult(namedtuple("IntegralResult", "value m integrand spec_used "
                                 "cross_check_spec fixed_point_count elapsed_s")):
-    """One integral with how it was computed.  elapsed_s is seconds on
-    perf_counter: a measurement, not part of the result, so equality and
-    hashing skip it."""
+    """One integral with how it was computed; value is an exact int.
+    elapsed_s is seconds on perf_counter: a measurement, not part of the
+    result, so equality and hashing skip it."""
 
     __slots__ = ()
 
@@ -230,7 +234,7 @@ def _convolve(p, q):
 
 
 def fixed_point_sum(m: int, spec: Specialization, integrands,
-                    frames=DEFAULT_FRAMES) -> tuple[Fraction, ...]:
+                    frames=DEFAULT_FRAMES) -> tuple[int, ...]:
     """The fixed-point formula at spec: the sum over all fixed points of
     Hilb^m of lambda^i * s_k / euler, one value per integrand, computed
     chart by chart.
@@ -248,10 +252,11 @@ def fixed_point_sum(m: int, spec: Specialization, integrands,
     sum over triples of lambda^(d-l) * X_l, X the triple's product
     series, for l up to the largest k of that degree, and each integral
     is one binomial dot product with it.  All of it is integer: every
-    sum is one numerator over the common denominator of the triples, so
-    the pass ends in one Fraction per integrand.  Raises
-    DegenerateSpecialization exactly when some fixed point has a
-    vanishing tangent weight.
+    sum is one numerator over the common denominator of the triples,
+    divided exactly at the end, one int per integrand.  Raises
+    ArithmeticError on a remainder (the sum of an integral class is an
+    integer), and DegenerateSpecialization exactly when some fixed point
+    has a vanishing tangent weight.
     """
     shapes = _shapes(m)
     w1, w2 = spec.w1, spec.w2
@@ -292,8 +297,11 @@ def fixed_point_sum(m: int, spec: Specialization, integrands,
         # C(m-1+k, k-l) for l = 0..k, the last written as 1 because
         # comb(-1, 0) raises at m = 0
         binomials = [comb(m - 1 + k, k - l) for l in range(k)] + [1]
-        values.append(Fraction(sum(map(mul, binomials, sums[integrand.i + k])),
-                               denominator))
+        value, remainder = divmod(sum(map(mul, binomials, sums[integrand.i + k])),
+                                  denominator)
+        if remainder:
+            raise ArithmeticError(f"the sum of {integrand} at {spec} is not an integer")
+        values.append(value)
     return tuple(values)
 
 

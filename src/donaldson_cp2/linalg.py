@@ -12,7 +12,10 @@ P = 2**30 - 35  # the largest prime below 2**30: a reduced entry is one CPython 
 
 
 def clear_denominators(row) -> list[int]:
-    """Scale a row of ints, Fractions or floats to integers by the lcm of denominators."""
+    """Scale a row of ints or Fractions to integers by the lcm of denominators."""
+    for j, x in enumerate(row):
+        if isinstance(x, float):
+            raise TypeError(f"entry {j} is the float {x!r}, not an exact int or Fraction")
     ratios = [x.as_integer_ratio() for x in row]
     scale = lcm(*(d for _, d in ratios))
     return [n * (scale // d) for n, d in ratios]

@@ -228,11 +228,14 @@ def test_bareiss_det_against_fraction_elimination():
 def test_clear_denominators():
     assert clear_denominators([Fraction(1, 2), Fraction(1, 3)]) == [3, 2]
     assert clear_denominators([2, -1]) == [2, -1]
-    assert clear_denominators([0.5, True, Fraction(1, 3)]) == [3, 6, 2]
+    assert clear_denominators([Fraction(1, 2), True, Fraction(1, 3)]) == [3, 6, 2]
     assert clear_denominators([]) == []
+    for row in ([0.5, True, Fraction(1, 3)], [2, -0.75]):
+        with pytest.raises(TypeError, match="float"):
+            clear_denominators(row)
     rows = ([3, Fraction(-5, 6), 0, Fraction(7, 4)],  # ints and Fractions
             [Fraction(-1, 2), 0, -4, Fraction(-9, 10)],  # negatives and zero
-            [0, 0], [0.5, True], [-0.75, 2, Fraction(1, 6)], [])
+            [0, 0], [Fraction(1, 2), True], [Fraction(-3, 4), 2, Fraction(1, 6)], [])
     for row in rows:
         # the former rule: scale the Fractions by the lcm of their denominators
         fracs = [Fraction(x) for x in row]

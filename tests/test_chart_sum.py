@@ -5,7 +5,7 @@ weight forms and inverts its Chern series (fixed_point_reference.py)."""
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd
+from math import comb, factorial, gcd
 
 import pytest
 
@@ -227,3 +227,42 @@ def test_one_pass_multiplies_only_the_nonempty_charts(m, monkeypatch):
     fixed_point_sum(m, specializations(m, 0)[0], integrands)
     assert len(products) == 2 * comb(m - 1, 2) + 3 * (m - 1)
     assert set(products) <= {2 * m + 1}
+
+
+@pytest.mark.parametrize("m", range(15))
+def test_chart_volumes_are_the_hilbert_chow_closed_form(m):
+    # Hilbert-Chow maps Hilb^n(C^2) properly onto Sym^n(C^2), which has one
+    # fixed point: sum over |mu| = n of 1/euler_mu = 1/(n! (uv)^n), so the
+    # l = 0 entry of size n is that fraction in lowest terms
+    for spec in specializations(m, 0):
+        for frame in DEFAULT_FRAMES:
+            u, v = (evaluate(form, spec.w1, spec.w2) for form in frame[:2])
+            table = engine._chart_table(engine._shapes(m), frame, spec.w1, spec.w2, 0)
+            for size, entry in enumerate(table):
+                volume = (u * v) ** size
+                assert entry == (factorial(size) * abs(volume),
+                                 [1 if volume > 0 else -1]), (spec, frame, size)
+
+
+# chart 1 with the v weight (0, 2) in place of (0, 1): no longer the
+# tangent weights of a torus action on P^2
+WRONG_FRAMES = (((1, 0), (0, 2), (0, 0)),) + DEFAULT_FRAMES[1:]
+
+
+@pytest.mark.parametrize("i, k", [(0, 6), (6, 0), (2, 4)])
+def test_a_non_integral_sum_is_refused(i, k):
+    for spec in specializations(3, 0):
+        with pytest.raises(ArithmeticError, match="not an integer"):
+            fixed_point_sum(3, spec, (IntegrandSpec(i, k),), WRONG_FRAMES)
+
+
+def test_values_are_ints():
+    m = 4
+    assert type(integrate(m, IntegrandSpec(0, 2 * m)).value) is int
+    integrands = [IntegrandSpec(i, 2 * m - i) for i in range(2 * m + 1)]
+    assert all(type(res.value) is int for res in integrate_many(m, integrands))
+    # above dim Hilb^m the sum is still an integer polynomial in (w1, w2)
+    integrands.append(IntegrandSpec(3, 2 * m))
+    for spec in specializations(m, 0) + (Specialization(5, -7, seed=0),):
+        assert all(type(value) is int
+                   for value in fixed_point_sum(m, spec, integrands))

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -113,6 +114,14 @@ def test_integrand_at_trivial_numerator():
 
 def test_integrate_known_value():
     assert integrate(3, IntegrandSpec(3, 3)).value == 8
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_one_segre_degree_is_a_closed_form(m):
+    # c1(E) = -L - B/2 with B the Hilbert-Chow boundary, L^(2m-1).B = 0 and
+    # L^2m = (2m-1)!!, so c1(L)^(2m-1) s_1(E tensor L) = (m-1) (2m-1)!!
+    value = integrate(m, IntegrandSpec(2 * m - 1, 1)).value
+    assert value == (m - 1) * prod(range(2 * m - 1, 0, -2))
 
 
 def test_integrate_vanishing_mode():

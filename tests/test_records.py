@@ -109,6 +109,22 @@ def test_cli_witness_and_help_load_no_engine_fractions_or_verify(argv):
     assert _newly_loaded(_cli_run(argv), heavy) == []
 
 
+@pytest.mark.parametrize("body", [
+    "import donaldson_cp2 as api\napi.integrate(4, api.IntegrandSpec(0, 8))",
+    _cli_run(["integrate", "--m", "3", "--expr", "s6(E*L)"]),
+], ids=["api", "cli"])
+def test_integrate_loads_no_fractions(body):
+    # an integral is an int, so neither the engine nor the CLI needs fractions
+    assert _newly_loaded(body, {"fractions", "decimal", "numbers"}) == []
+
+
+def test_cli_donaldson_loads_fractions():
+    # the control: a Donaldson coefficient has a rational prefactor
+    body = _cli_run(["donaldson", "--n", "2"])
+    assert _newly_loaded(body, {"fractions", "decimal", "numbers"}) == [
+        "decimal", "fractions", "numbers"]
+
+
 def test_cli_donaldson_loads_the_engine_and_the_invariants():
     # the control: the guard above can see these modules once a command needs them
     body = _cli_run(["donaldson", "--n", "2"])
