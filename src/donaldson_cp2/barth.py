@@ -18,14 +18,15 @@ from itertools import accumulate, combinations, repeat
 from math import gcd
 from operator import mul
 
-from .linalg import bareiss_det, clear_denominators, rank
+from .linalg import clear_denominators, rank
 
 Point = tuple[int, int, int]
 
 COORD_RANGE = 30  # sampled coordinates lie in [-COORD_RANGE, COORD_RANGE]
 MAX_TRIES = 1000  # configurations drawn before sampling gives up
 # Largest n sampled.  Every seed tried succeeds up to n = 29, but one witness
-# takes 0.3-0.5 s at n = 24 and 1.6-2 s at n = 29, up to 0.7 s of it redraws.
+# takes 0.2-0.45 s at n = 24 and 0.8-1.8 s at n = 29 on a 2-core box, up to
+# 0.9 s of it redraws; the curve is 2-7 ms of it, incidence and rank the rest.
 MAX_N = 24
 
 
@@ -53,7 +54,18 @@ def _det3(p: Point, q: Point, r: Point) -> int:
     )
 
 
-class PlaneConfiguration(namedtuple("PlaneConfiguration", "points")):
+class _Checked:
+    """A record whose _make, and so _replace, goes through __new__ and
+    checks and scales its fields like the constructor."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
+
+class PlaneConfiguration(_Checked, namedtuple("PlaneConfiguration", "points")):
     """n+1 points of P^2 in general position; their dual lines form the
     polygon whose nodes the determinantal curve must pass through.  A
     point is projective, so rational coordinates are scaled once, here,
@@ -66,11 +78,6 @@ class PlaneConfiguration(namedtuple("PlaneConfiguration", "points")):
         if any(len(p) != 3 or not any(p) for p in points):
             raise ValueError("a point of P^2 is a nonzero vector of three coordinates")
         return super().__new__(cls, points)
-
-    @classmethod
-    def _make(cls, fields):
-        # through __new__, so that _make and _replace check and scale too
-        return cls(*fields)
 
     @property
     def n(self) -> int:
@@ -90,7 +97,7 @@ class PlaneConfiguration(namedtuple("PlaneConfiguration", "points")):
         return True
 
 
-class HulsbergenDatum(namedtuple("HulsbergenDatum", "config extension")):
+class HulsbergenDatum(_Checked, namedtuple("HulsbergenDatum", "config extension")):
     """A configuration and an extension vector, one entry per point.  The
     curve does not change when the extension is scaled, so a rational
     extension is scaled once, here, to an integer vector."""
@@ -103,11 +110,6 @@ class HulsbergenDatum(namedtuple("HulsbergenDatum", "config extension")):
         if all(e == 0 for e in extension):
             raise ValueError("extension vector must be nonzero (non-split)")
         return super().__new__(cls, config, tuple(clear_denominators(extension)))
-
-    @classmethod
-    def _make(cls, fields):
-        # through __new__, so that _make and _replace check and scale too
-        return cls(*fields)
 
 
 def monomials(degree: int) -> list[tuple[int, int, int]]:
@@ -129,11 +131,18 @@ def monomial_values(degree: int, point) -> list:
             for i in range(degree, -1, -1) for j in range(degree - i, -1, -1)]
 
 
-class PlaneCurve(namedtuple("PlaneCurve", "degree coefficients")):
+class PlaneCurve(_Checked, namedtuple("PlaneCurve", "degree coefficients")):
     """A nonzero degree-d form on the dual plane, coefficients in the
     monomials(degree) order, primitive integers up to sign."""
 
     __slots__ = ()
+
+    def __new__(cls, degree, coefficients):
+        if degree < 0 or len(coefficients) != (degree + 1) * (degree + 2) // 2:
+            raise ValueError("a degree-d form has (d+1)(d+2)/2 coefficients, d >= 0")
+        if not any(coefficients):
+            raise ValueError("a plane curve is a nonzero form")
+        return super().__new__(cls, degree, coefficients)
 
     def evaluate(self, line):
         """The form at a line, exactly: an int at an integer line and a
@@ -206,26 +215,25 @@ def barth_curve(datum: HulsbergenDatum) -> PlaneCurve:
     P = [-1 | I_n], so det(P without column j) is (-1)^j: without column 0
     it is I_n, and without column j > 0, j - 1 swaps move the column of
     -1s to place j, where it is I_n's only changed column and contributes
-    its diagonal -1.  Only K's minors are computed, by Bareiss elimination.
+    its diagonal -1.  K has the columns ext_p e_j - ext_j e_p (j != p),
+    with p the first index of a nonzero ext_p, and its maximal minors are
+    its Pluecker coordinates, det(K without row j) = (-1)^(p+j)
+    ext_p^(n-1) ext_j: without row p it is ext_p I_n, and without row
+    j != p column j keeps only its entry -ext_j in row p, whose cofactor
+    is ext_p I_(n-1).  The constant (-1)^p ext_p^(n-1) drops out in the
+    normalization, so the curve is
+
+        sum_j ext_j f_j prod_{i != j} ell(z_i),
+
+    made primitive with a positive leading coefficient; no determinant is
+    taken.
     """
-    n = datum.config.n
-    ext, points = datum.extension, datum.config.points
-
-    # K has the kernel basis ext_p e_j - ext_j e_p (j != p) as columns;
-    # scaling a column scales every maximal minor alike, so the normalized
-    # curve does not depend on it
-    pivot = next(j for j, e in enumerate(ext) if e != 0)
-    columns = [j for j in range(n + 1) if j != pivot]
-    kernel = [[-ext[j] if i == pivot else ext[pivot] * (i == j) for j in columns]
-              for i in range(n + 1)]
-
     # one sweep: after point j, total is the sum above restricted to the
     # points 0..j, and product is prod_{i <= j} ell(z_i)
     total, product = [], [1]
-    for j, point in enumerate(points):
-        minor = ((-1) ** j * bareiss_det(kernel[:j] + kernel[j + 1:])
-                 * next(c for c in point if c != 0))
-        total = [t + minor * c
+    for j, (e, point) in enumerate(zip(datum.extension, datum.config.points)):
+        weight = e * next(c for c in point if c != 0)
+        total = [t + weight * c
                  for t, c in zip(_times_linear(total, j - 1, point), product)]
         product = _times_linear(product, j, point)
     if not any(total):
@@ -234,7 +242,7 @@ def barth_curve(datum: HulsbergenDatum) -> PlaneCurve:
     # primitive, with a positive leading coefficient
     lead = next(v for v in total if v != 0)
     g = gcd(*total) if lead > 0 else -gcd(*total)
-    return PlaneCurve(n, tuple(v // g for v in total))
+    return PlaneCurve(datum.config.n, tuple(v // g for v in total))
 
 
 def verify_darboux(config: PlaneConfiguration, curve: PlaneCurve) -> bool:

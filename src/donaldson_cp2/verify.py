@@ -5,12 +5,12 @@ Each check returns (ok, detail).  The CLI `verify` subcommand and the
 acceptance tests both run exactly these.
 """
 
-from fractions import Fraction
 from math import gcd, prod
 from time import perf_counter
 
 from .engine import IntegrandSpec, fixed_point_count, integrate, integrate_many
 from .invariants import darboux_count, donaldson_q
+from .linalg import bareiss_det
 from . import barth
 
 PUBLISHED_Q = {2: 1, 3: 3, 4: 54, 5: 2540, 6: 233208}
@@ -102,43 +102,49 @@ def check_barth_witness():
     return True, "degree, incidence and system dimension correct for n=2..12"
 
 
-def darboux_form(datum, line) -> Fraction:
-    """sum_j ext_j prod_{i != j} ell(zhat_i) at one line ell, where zhat_i
-    is point i divided by its first nonzero coordinate (the trivialization
-    of the construction; barth_curve works with the integer points and
-    never divides): the closed form of the determinantal curve, with no
-    determinant in it.  Returns an exact Fraction for integer or rational
-    lines."""
-    values = []
-    for p in datum.config.points:
-        first = next(c for c in p if c)
-        values.append(Fraction(sum(l * c for l, c in zip(line, p)), first))
-    return sum(e * prod(values[:j] + values[j + 1:])
-               for j, e in enumerate(datum.extension))
+def multiplication_determinant(datum, line) -> int:
+    """det(P diag(ell(z_j)) K') at one line ell, by Bareiss elimination
+    over the integers: the determinant that defines the curve, with none
+    of barth_curve's closed form in it.  P has the rows e_r - e_0, and K'
+    has the integer kernel basis ext'_p e_j - ext'_j e_p (j != p) of the
+    functional ext'_j = ext_j f_j as columns, f_j the first nonzero
+    coordinate of the point z_j and p the first index of a nonzero ext'_p.
+    diag(1/f_j) maps ker(ext) onto ker(ext') and ell(z_j) / f_j is
+    ell(zhat_j), so this is P diag(ell(zhat_j)) K in another basis of the
+    kernel: one constant times the curve at every line."""
+    points = datum.config.points
+    weights = [e * next(c for c in z if c) for e, z in zip(datum.extension, points)]
+    values = [sum(l * c for l, c in zip(line, z)) for z in points]
+    p = next(j for j, w in enumerate(weights) if w)
+    # column j of diag(ell(z)) K', as a list over the points
+    image = [[values[i] * (weights[p] * (i == j) - weights[j] * (i == p))
+              for i in range(len(points))] for j in range(len(points)) if j != p]
+    return bareiss_det([[col[r] - col[0] for col in image]
+                        for r in range(1, len(points))])
 
 
 def check_darboux_form_oracle():
-    """barth_curve is the closed form above, normalized.  The lines
-    (a, b, n-a-b) with a, b, n-a-b >= 0 are unisolvent for degree-n forms,
-    so values proportional there mean forms proportional everywhere; a
-    primitive integral form with positive leading coefficient is then the
-    normalized closed form itself."""
+    """barth_curve is the determinant that defines it, normalized.  The
+    lines (a, b, n-a-b) with a, b, n-a-b >= 0 are unisolvent for degree-n
+    forms, so values proportional there mean forms proportional
+    everywhere; a primitive integral form with positive leading
+    coefficient is then the normalized determinant itself."""
     bad = []
     for n in range(2, 10):
         for seed in range(3):
             datum = barth.sample_datum(n, seed)
             curve = barth.barth_curve(datum)
             # monomials(n) lists exactly the triples (a, b, n-a-b)
-            pairs = [(curve.evaluate(line), darboux_form(datum, line))
+            pairs = [(curve.evaluate(line), multiplication_determinant(datum, line))
                      for line in barth.monomials(n)]
-            ref_curve, ref_form = next(p for p in pairs if p[1])
-            proportional = all(c * ref_form == f * ref_curve for c, f in pairs)
+            ref_curve, ref_det = next(p for p in pairs if p[1])
+            proportional = all(c * ref_det == d * ref_curve for c, d in pairs)
             lead = next(c for c in curve.coefficients if c)
             if not (proportional and gcd(*curve.coefficients) == 1 and lead > 0):
                 bad.append((n, seed))
-    return not bad, (f"curve is not the normalized closed form at (n, seed) {bad}"
-                     if bad else "barth_curve = normalized sum_j ext_j prod_(i!=j) "
-                                 "ell(z_i) for n=2..9, 3 seeds each")
+    return not bad, (f"curve is not the normalized determinant at (n, seed) {bad}"
+                     if bad else "barth_curve = normalized det(P diag(ell(z_j)) K') "
+                                 "for n=2..9, 3 seeds each")
 
 
 def check_run_determinism():

@@ -22,7 +22,7 @@ from donaldson_cp2.barth import (
 )
 from donaldson_cp2 import linalg
 from donaldson_cp2.linalg import P, bareiss_det, bareiss_rank, clear_denominators, rank
-from donaldson_cp2.verify import darboux_form
+from donaldson_cp2.verify import multiplication_determinant
 
 
 def F(x):
@@ -545,15 +545,62 @@ def test_monomial_values_are_exact_powers_in_monomials_order():
             assert [type(v) for v in values] == [type(v) for v in want]
 
 
-def test_darboux_form_is_exact_on_integer_data():
-    datum = sample_datum(4, seed=3)
-    for line in monomials(4):
-        value = darboux_form(datum, line)
-        assert type(value) is Fraction
-    # a point whose first coordinate is not 1 needs a true division
+def test_multiplication_determinant_is_exact_on_integer_data():
+    # a point whose first coordinate is not 1 weights its term by f_j:
+    # f = (2, 3, 3), ell(z_j) = 3, 4, 4 at (1, 1, 1), so the curve there is
+    # 2*4*4 + 3*3*4 + 3*3*4 = 104, and ext'_0 = 2 scales the determinant
     datum = HulsbergenDatum(PlaneConfiguration(((2, 1, 0), (0, 3, 1), (3, 0, 1))),
                             (1, 1, 1))
-    value = darboux_form(datum, (1, 1, 1))
-    assert type(value) is Fraction
-    # ell(zhat_i) = 3/2, 4/3, 4/3
-    assert value == Fraction(4, 3) ** 2 + 2 * Fraction(3, 2) * Fraction(4, 3)
+    value = multiplication_determinant(datum, (1, 1, 1))
+    assert type(value) is int and value == 208 == 2 * 104
+    assert barth_curve(datum).evaluate((1, 1, 1)) == 104
+    # on the unit triangle the determinant is l1*l2 + l0*l2 + l0*l1, whose
+    # values at the lines monomials(2) happen to be its own coefficients
+    triangle = HulsbergenDatum(PlaneConfiguration(UNIT_POINTS), (1, 1, 1))
+    values = [multiplication_determinant(triangle, line) for line in monomials(2)]
+    assert values == list(barth_curve(triangle).coefficients) == [0, 1, 1, 0, 1, 0]
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_kernel_minors_are_pluecker_coordinates(n):
+    # barth_curve uses det(K without row j) = (-1)^(p+j) ext_p^(n-1) ext_j
+    # for K with the columns ext_p e_j - ext_j e_p (j != p), p the first
+    # index of a nonzero ext_p
+    rng = random.Random(n)
+    for trial in range(6):
+        ext = [rng.choice([0, 0, rng.randint(-9, 9)]) for _ in range(n + 1)]
+        if trial % 2:
+            ext[0] = 0  # so that p > 0
+        ext[rng.randrange(1, n + 1)] = rng.choice([-7, -1, 2, 5])
+        p = next(j for j, e in enumerate(ext) if e)
+        kernel = [[ext[p] * (i == j) - ext[j] * (i == p) for j in range(n + 1) if j != p]
+                  for i in range(n + 1)]
+        for j in range(n + 1):
+            want = (-1) ** (p + j) * ext[p] ** (n - 1) * ext[j]
+            assert bareiss_det(kernel[:j] + kernel[j + 1:]) == want, (ext, j)
+
+
+def test_barth_curve_takes_no_determinant(monkeypatch):
+    def no_bareiss(matrix):
+        raise AssertionError("Bareiss elimination ran")
+
+    monkeypatch.setattr(linalg, "_eliminate", no_bareiss)
+    for n in range(2, 13):
+        for seed in range(3):
+            assert barth_curve(sample_datum(n, seed)).degree == n
+
+
+@pytest.mark.parametrize("degree,coefficients", [
+    (3, ()),               # no coefficients: zip ignored the missing ones
+    (3, (0,) * 10),        # the zero form vanishes at every node
+    (3, (1,) * 9),         # one coefficient short
+    (2, (1,) * 7),         # one coefficient too many
+    (-3, (1,)),            # a negative degree, though (d+1)(d+2)/2 = 1
+], ids=("empty", "zero", "short", "long", "negative"))
+def test_plane_curve_is_a_nonzero_form_of_its_degree(degree, coefficients):
+    with pytest.raises(ValueError):
+        PlaneCurve(degree, coefficients)
+    with pytest.raises(ValueError):
+        PlaneCurve._make((degree, coefficients))
+    with pytest.raises(ValueError):
+        PlaneCurve(2, (1,) * 6)._replace(degree=degree, coefficients=coefficients)
