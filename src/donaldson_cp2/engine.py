@@ -8,12 +8,13 @@ constant (independent of the parameters) whenever i + k <= 2m and no
 tangent weight vanishes.  Every integral is evaluated at two
 specializations (1, N) and (1, N'), N != N', which `specializations`
 draws from (m+1, m+1+SPAN] by Random(seed), and the results must agree
-bitwise.
+bitwise.  A pass over several m draws them at its largest m, m_top.
 
 No tangent weight vanishes at (1, N) with N > m, so no draw is ever
-rejected.  A cell with arm a and leg l has a + l <= m-1 and the tangent
-weights (a+1)u - l*v and (l+1)v - a*u, where the chart parameters (u, v)
-are (1, N), (-1, N-1) and (-N, 1-N):
+rejected, and N > m_top >= m serves every m of a pass.  A cell with arm
+a and leg l has a + l <= m-1 and the tangent weights (a+1)u - l*v and
+(l+1)v - a*u, where the chart parameters (u, v) are (1, N), (-1, N-1)
+and (-N, 1-N):
 - chart 1 would need l*N = a+1 or a = (l+1)*N, and either forces
   N <= m-1;
 - in chart 2 the first weight is negative and the second positive;
@@ -47,13 +48,18 @@ which builds each fixed point's weight forms and inverts its Chern
 series, lives in tests/fixed_point_reference.py as the oracle the tests
 check the chart sum against.
 
-The unit of work is one pass over Hilb^m: `integrate_many` evaluates any
-number of integrands on one m from one set of chart tables per
-specialization, built up to the largest k.  Each integral is a different
-linear functional on the same per-triple series, so the tables, the
-series products and the Segre-basis sums of each degree are shared, and
-every sum is one integer numerator over the common denominator of the
-triples.  `integrate` is the one-integrand pass.
+The unit of work is one pass over several Hilb^m at one pair of
+specializations: `integrate_by_m` evaluates any number of integrands on
+each m from one set of chart tables per specialization, built once at
+the largest m and the largest k of the pass.  A table's entry of size s
+depends on the frame, the specialization and the truncation alone,
+never on m, and its H_l on H_0..H_(l-1) alone, so each m reads the first
+m+1 entries of each table and the first k+1 terms of each series.  Each
+integral is a different linear functional on the same per-triple
+series, so the series products and the Segre-basis sums of each degree
+are shared within an m, and every sum is one integer numerator over the
+common denominator of the triples.  `integrate_many` is the pass over
+one m and `integrate` the one-integrand pass.
 
 Every value is an int: the fixed-point sum of an integral class on the
 smooth projective Hilb^m(P^2) is its equivariant integral, a polynomial
@@ -179,12 +185,17 @@ def _shapes(m: int):
     return tuple(shapes)
 
 
+def _count_triples(counts, m: int) -> int:
+    """The triples of partitions of total size m, from the number of
+    partitions of each size up to m."""
+    return sum(counts[a] * counts[b] * counts[m - a - b]
+               for a in range(m + 1) for b in range(m - a + 1))
+
+
 def fixed_point_count(m: int) -> int:
     """The number of torus-fixed points of Hilb^m(P^2): the triples of
     partitions of total size m that the chart sum runs over."""
-    counts = [len(by_size) for by_size in _shapes(m)]
-    return sum(counts[a] * counts[b] * counts[m - a - b]
-               for a in range(m + 1) for b in range(m - a + 1))
+    return _count_triples([len(by_size) for by_size in _shapes(m)], m)
 
 
 def _chart_table(shapes, frame, w1: int, w2: int, k: int):
@@ -237,12 +248,22 @@ def fixed_point_sum(m: int, spec: Specialization, integrands,
                     frames=DEFAULT_FRAMES) -> tuple[int, ...]:
     """The fixed-point formula at spec: the sum over all fixed points of
     Hilb^m of lambda^i * s_k / euler, one value per integrand, computed
-    chart by chart.
+    chart by chart from chart tables built for Hilb^m up to the largest
+    k.  See `_chart_sum`."""
+    k_max = max((integrand.k for integrand in integrands), default=0)
+    shapes = _shapes(m)
+    tables = [_chart_table(shapes, frame, spec.w1, spec.w2, k_max) for frame in frames]
+    return _chart_sum(m, spec, tables, frames, integrands)
 
-    The chart tables are built once, up to the largest k, in lowest
-    terms.  Per triple of chart sizes the series of the nonempty charts
-    are multiplied, truncated at the largest k: an empty chart's series
-    is 1, so a triple with one empty chart costs one product and a triple
+
+def _chart_sum(m: int, spec: Specialization, tables, frames, integrands):
+    """The fixed-point sum over Hilb^m at spec, one int per integrand,
+    from chart tables of at least m+1 sizes and at least the largest k
+    terms, in lowest terms or not.
+
+    Per triple of chart sizes the series of the nonempty charts are
+    multiplied, truncated at the largest k: an empty chart's series is
+    1, so a triple with one empty chart costs one product and a triple
     with two costs none.  The shift by lambda is taken once, at the end,
     in the Segre basis:
 
@@ -255,13 +276,15 @@ def fixed_point_sum(m: int, spec: Specialization, integrands,
     sum is one numerator over the common denominator of the triples,
     divided exactly at the end, one int per integrand.  Raises
     ArithmeticError on a remainder (the sum of an integral class is an
-    integer), and DegenerateSpecialization exactly when some fixed point
-    has a vanishing tangent weight.
+    integer); the tables raise DegenerateSpecialization exactly when some
+    fixed point has a vanishing tangent weight.
     """
-    shapes = _shapes(m)
     w1, w2 = spec.w1, spec.w2
     k_max = max((integrand.k for integrand in integrands), default=0)
-    tables = [_chart_table(shapes, frame, w1, w2, k_max) for frame in frames]
+    if len(tables[0][0][1]) > k_max + 1:
+        # H_l depends only on H_0..H_(l-1), so the truncated entries are
+        # still exact; a table built for this k is read as it is
+        tables = [[(den, h[:k_max + 1]) for den, h in table[:m + 1]] for table in tables]
     lines = [a * w1 + b * w2 for _, _, (a, b) in frames]
     # per degree d = i + k, the largest k: its sums run over l = 0..k
     tops = {}
@@ -305,19 +328,8 @@ def fixed_point_sum(m: int, spec: Specialization, integrands,
     return tuple(values)
 
 
-def integrate_many(m: int, integrands, *, seed: int = 0,
-                   frames=DEFAULT_FRAMES) -> tuple[IntegralResult, ...]:
-    """Integrate every c1(L)^i * s_k(E tensor L) in integrands over
-    Hilb^m(P^2) exactly, in one pass: one fixed-point sum per
-    specialization gives all of them.
-
-    Each integrand requires i + k <= 2m; for i + k < 2m the value is 0
-    by degree reasons, which the summation confirms.  An m above MAX_M
-    is refused before any work.  The sums are evaluated at the two
-    `specializations(m, seed)` and must agree.  Each result carries the
-    specializations and the fixed-point count that `integrate` of its
-    integrand alone would, and the time of the whole pass.
-    """
+def _checked(m: int, integrands) -> tuple[IntegrandSpec, ...]:
+    """integrands as a tuple, once m and each of them are valid."""
     if m < 0:
         raise ValueError("m must be nonnegative")
     if m > MAX_M:
@@ -330,21 +342,64 @@ def integrate_many(m: int, integrands, *, seed: int = 0,
             raise DegreeMismatch(
                 f"i+k = {integrand.i + integrand.k} exceeds dim Hilb^{m} = {2 * m}"
             )
+    return integrands
+
+
+def integrate_by_m(passes, *, seed: int = 0,
+                   frames=DEFAULT_FRAMES) -> dict[int, tuple[IntegralResult, ...]]:
+    """Integrate, for each m of passes, every c1(L)^i * s_k(E tensor L)
+    in passes[m] over Hilb^m(P^2) exactly, in one pass: one set of chart
+    tables per specialization serves every m.
+
+    Each integrand requires i + k <= 2m; for i + k < 2m the value is 0
+    by degree reasons, which the summation confirms.  Every m and every
+    integrand is checked, and an m above MAX_M refused, before any work.
+    The sums are evaluated at the two `specializations(m_top, seed)`, m_top
+    the largest m, where the tables are built up to the largest k, and
+    each m's values must agree across them.  Returns m -> one result per
+    integrand, in order.  Each result's elapsed_s is the time of its m's
+    own sums and cross-check; m_top is charged the shared shapes and
+    tables too, so the times of the m add up to no more than the call.
+    """
+    passes = {m: _checked(m, integrands) for m, integrands in passes.items()}
+    if not passes:
+        return {}
+    m_top = max(passes)
+    k_top = max((integrand.k for integrands in passes.values()
+                 for integrand in integrands), default=0)
     t0 = perf_counter()
-    fixed_points = fixed_point_count(m)
-    spec_used, check_spec = specializations(m, seed)
-    values = fixed_point_sum(m, spec_used, integrands, frames)
-    check_values = fixed_point_sum(m, check_spec, integrands, frames)
-    for integrand, value, check_value in zip(integrands, values, check_values):
-        if value != check_value:
-            raise ArithmeticError(
-                f"specialization cross-check failed for {integrand}: "
-                f"{value} != {check_value}"
-            )
-    elapsed_s = perf_counter() - t0
-    return tuple(IntegralResult(value, m, integrand, spec_used, check_spec,
-                                fixed_points, elapsed_s)
-                 for integrand, value in zip(integrands, values))
+    shapes = _shapes(m_top)
+    counts = [len(by_size) for by_size in shapes]
+    specs = specializations(m_top, seed)
+    tables = [[_chart_table(shapes, frame, spec.w1, spec.w2, k_top) for frame in frames]
+              for spec in specs]
+    results = {}
+    # m_top goes first, so that its clock runs over the shared work too
+    for m in sorted(passes, key=lambda m: m != m_top):
+        integrands = passes[m]
+        values, check_values = (_chart_sum(m, spec, spec_tables, frames, integrands)
+                                for spec, spec_tables in zip(specs, tables))
+        for integrand, value, check_value in zip(integrands, values, check_values):
+            if value != check_value:
+                raise ArithmeticError(
+                    f"specialization cross-check failed for {integrand} on "
+                    f"Hilb^{m}: {value} != {check_value}"
+                )
+        t1 = perf_counter()
+        fixed_points = _count_triples(counts, m)
+        results[m] = tuple(IntegralResult(value, m, integrand, *specs,
+                                          fixed_points, t1 - t0)
+                           for integrand, value in zip(integrands, values))
+        t0 = t1
+    return {m: results[m] for m in passes}
+
+
+def integrate_many(m: int, integrands, *, seed: int = 0,
+                   frames=DEFAULT_FRAMES) -> tuple[IntegralResult, ...]:
+    """Integrate every c1(L)^i * s_k(E tensor L) in integrands over
+    Hilb^m(P^2) exactly, in one pass: the one-m case of `integrate_by_m`,
+    at the two `specializations(m, seed)`."""
+    return integrate_by_m({m: integrands}, seed=seed, frames=frames)[m]
 
 
 def integrate(m: int, integrand: IntegrandSpec, *, seed: int = 0,

@@ -9,7 +9,7 @@ rational prefactor: 1/2^(5-n) times the count with i = 5-n for
 from collections import namedtuple
 from fractions import Fraction
 
-from .engine import IntegralResult, IntegrandSpec, integrate, integrate_many
+from .engine import IntegralResult, IntegrandSpec, integrate, integrate_by_m
 
 
 class OutOfRange(ValueError):
@@ -84,10 +84,13 @@ def invariant_table(n_max: int, *, darboux_n: tuple[int, ...] = (),
                     seed: int = 0):
     """Donaldson rows for 2 <= n <= n_max, plus full Darboux rows (all i)
     for each n listed in darboux_n.  Deterministic for a fixed seed, and
-    row for row the same as donaldson_q and darboux_count with that seed.
+    value for value the same as donaldson_q and darboux_count with that
+    seed.
 
-    The rows are grouped by m = n + 1 and each Hilb^m is integrated in
-    one pass; a Donaldson row shares the integral of its Darboux row.
+    The rows are grouped by m = n + 1 and the whole table is one
+    `integrate_by_m` pass: every Hilb^m reads the same chart tables, and
+    every row reports the specializations of the largest m.  A Donaldson
+    row shares the integral of its Darboux row.
     """
     if not 2 <= n_max <= 6:
         raise OutOfRange(f"invariant_table requires 2 <= n_max <= 6, got {n_max}")
@@ -97,10 +100,9 @@ def invariant_table(n_max: int, *, darboux_n: tuple[int, ...] = (),
     by_m: dict[int, dict[IntegrandSpec, None]] = {}
     for n, i in needed:
         by_m.setdefault(n + 1, {})[_darboux_integrand(n, i)] = None
-    results = {}
-    for m, integrands in by_m.items():
-        results.update(((m, result.integrand), result)
-                       for result in integrate_many(m, integrands, seed=seed))
+    results = {(m, result.integrand): result
+               for m, by_integrand in integrate_by_m(by_m, seed=seed).items()
+               for result in by_integrand}
     rows = [_darboux_result(n, i, results[n + 1, _darboux_integrand(n, i)])
             for n, i in needed]
     return ([_donaldson_result(n, prefactor, row)

@@ -12,6 +12,7 @@ import pytest
 from donaldson_cp2 import engine
 from donaldson_cp2.engine import (
     DEFAULT_FRAMES,
+    MAX_M,
     SPAN,
     DegenerateSpecialization,
     DegreeMismatch,
@@ -20,6 +21,7 @@ from donaldson_cp2.engine import (
     chart_frames,
     fixed_point_sum,
     integrate,
+    integrate_by_m,
     integrate_many,
     specializations,
 )
@@ -119,6 +121,76 @@ def test_integrate_many_validates_every_integrand():
         integrate_many(2, [IntegrandSpec(0, 4), IntegrandSpec(3, 2)])
     with pytest.raises(ValueError, match="exponents"):
         integrate_many(2, [IntegrandSpec(0, 4), IntegrandSpec(-1, 2)])
+
+
+def every_integrand(m):
+    return [IntegrandSpec(i, k) for i in range(2 * m + 1) for k in range(2 * m + 1 - i)]
+
+
+@pytest.mark.parametrize("frames_name", sorted(FRAMES))
+def test_integrate_by_m_is_the_reference_table_at_every_m(frames_name):
+    # one pass over m = 0..6 reads tables built at m = 6 and k = 12: m = 0
+    # reads the empty chart alone, and each smaller m a shorter series
+    results = integrate_by_m({m: every_integrand(m) for m in range(7)}, seed=3,
+                             frames=FRAMES[frames_name])
+    assert list(results) == list(range(7))
+    for m, by_integrand in results.items():
+        _, count, want = reference_run(m, frames_name)
+        assert [res.integrand for res in by_integrand] == every_integrand(m)
+        for res in by_integrand:
+            assert (res.m, res.fixed_point_count) == (m, count)
+            assert [res.spec_used, res.cross_check_spec] == list(specializations(6, 3))
+            assert res.value == want[res.integrand.i, res.integrand.k], (m, res.integrand)
+
+
+def test_integrate_by_m_answers_each_m_as_alone():
+    # the largest k comes from a smaller m, and Hilb^5 asks only for k = 0
+    passes = {2: [IntegrandSpec(0, 4), IntegrandSpec(1, 3)], 5: [IntegrandSpec(10, 0)],
+              0: [IntegrandSpec(0, 0)], 3: [IntegrandSpec(0, 6), IntegrandSpec(6, 0)]}
+    results = integrate_by_m(passes, seed=7)
+    assert list(results) == list(passes)
+    for m, integrands in passes.items():
+        alone = integrate_many(m, integrands, seed=7)
+        assert [(res.value, res.fixed_point_count) for res in results[m]] == \
+            [(res.value, res.fixed_point_count) for res in alone]
+
+
+def test_integrate_by_m_charges_the_shared_tables_to_the_largest_m(monkeypatch):
+    # one clock reading at the start and one as each m ends: Hilb^7 goes
+    # first, over the shapes and tables every m reads, and each other m is
+    # charged its own sums alone, so the times add up to the call's
+    ticks = iter([10.0, 10.5, 10.625, 10.75])
+    monkeypatch.setattr(engine, "perf_counter", lambda: next(ticks))
+    results = integrate_by_m({m: every_integrand(m) for m in (2, 7, 4)})
+    assert list(results) == [2, 7, 4]
+    assert {m: {res.elapsed_s for res in by_integrand}
+            for m, by_integrand in results.items()} == \
+        {7: {0.5}, 2: {0.125}, 4: {0.125}}
+
+
+def forbid_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError(f"started work on {args}")
+
+    monkeypatch.setattr(engine, "_shapes", no_work)
+    monkeypatch.setattr(engine, "_chart_table", no_work)
+
+
+def test_integrate_by_m_refuses_an_m_above_the_cap_before_any_work(monkeypatch):
+    forbid_work(monkeypatch)
+    with pytest.raises(ValueError, match=f"at most MAX_M = {MAX_M}, got {MAX_M + 1}"):
+        integrate_by_m({3: [IntegrandSpec(0, 6)], MAX_M + 1: [IntegrandSpec(0, 0)]})
+
+
+def test_integrate_by_m_refuses_a_degree_of_a_small_m_before_any_work(monkeypatch):
+    forbid_work(monkeypatch)
+    with pytest.raises(DegreeMismatch, match=r"exceeds dim Hilb\^2"):
+        integrate_by_m({7: [IntegrandSpec(0, 14)], 2: [IntegrandSpec(1, 4)]})
+
+
+def test_integrate_by_m_of_no_passes_builds_nothing(monkeypatch):
+    forbid_work(monkeypatch)
+    assert integrate_by_m({}) == {}
 
 
 def test_one_sum_answers_each_integrand_as_alone():

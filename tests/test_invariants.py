@@ -99,14 +99,16 @@ PAPER_TABLE = dict(n_max=6, darboux_n=(2, 3, 4, 5))
 @pytest.mark.parametrize("seed", [0, 1, 5, 11])
 def test_invariant_table_rows_are_standalone_integrals(seed):
     rows = invariant_table(**PAPER_TABLE, seed=seed)
+    # one pass over Hilb^3..Hilb^7: every row reports the specializations
+    # of Hilb^7, and its value and count are those of the integral alone
+    specs = list(engine.specializations(7, seed))
     for row in rows:
         alone = integrate(row.detail.m, row.detail.integrand, seed=seed)
-        assert (row.detail.value, row.detail.spec_used, row.detail.cross_check_spec,
-                row.detail.fixed_point_count) == \
-            (alone.value, alone.spec_used, alone.cross_check_spec,
-             alone.fixed_point_count)
-    # one pass per m: the Donaldson row holds its Darboux row's very
-    # result, and every result on one m carries the time of that pass
+        assert (row.detail.value, row.detail.fixed_point_count) == \
+            (alone.value, alone.fixed_point_count)
+        assert [row.detail.spec_used, row.detail.cross_check_spec] == specs
+    # the Donaldson row holds its Darboux row's very result, and every
+    # result on one m carries the time of that m's sums
     darboux = {(r.n, r.i): r.detail for r in rows if isinstance(r, DarbouxCount)}
     for row in rows:
         if isinstance(row, DonaldsonResult) and row.n <= 5:
@@ -115,18 +117,26 @@ def test_invariant_table_rows_are_standalone_integrals(seed):
         assert len({row.detail.elapsed_s for row in rows if row.detail.m == m}) == 1
 
 
-def test_invariant_table_builds_chart_tables_once_per_m(monkeypatch):
-    builds = []
-    chart_table = engine._chart_table
+def test_invariant_table_builds_chart_tables_once(monkeypatch):
+    builds, shapes_built = [], []
+    chart_table, shapes = engine._chart_table, engine._shapes
 
     def counted(*args):
         builds.append(args)
         return chart_table(*args)
 
+    def counted_shapes(m):
+        shapes_built.append(m)
+        return shapes(m)
+
     monkeypatch.setattr(engine, "_chart_table", counted)
+    monkeypatch.setattr(engine, "_shapes", counted_shapes)
     invariant_table(**PAPER_TABLE)
-    # 3 charts x 2 specializations x 5 distinct m (Hilb^3..Hilb^7)
-    assert len(builds) == 30
+    # 3 charts x 2 specializations, each at Hilb^7 and the largest k,
+    # shared by Hilb^3..Hilb^7
+    assert len(builds) == 6
+    assert {(len(args[0]) - 1, args[-1]) for args in builds} == {(7, 14)}
+    assert shapes_built == [7]
 
 
 def test_invariant_table_rejects_bad_darboux_n():
