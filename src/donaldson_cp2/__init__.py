@@ -1,7 +1,8 @@
 """Exact Donaldson invariants of CP^2 and Darboux-configuration counts,
 computed by torus localization on Hilbert schemes of points, plus an
 independent determinantal-curve witness over the integers.  Names load
-on first use: `import donaldson_cp2.barth` loads no engine or fractions."""
+on first use: `import donaldson_cp2.barth` loads no engine, and no module
+of the package loads fractions."""
 
 from importlib import import_module
 

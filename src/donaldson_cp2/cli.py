@@ -119,7 +119,7 @@ def _spec(spec) -> dict:
 
 def _record(command: str, n, value, detail) -> dict:
     """One result as a record, with both specializations; elapsed_ms is
-    the time of its integral."""
+    the time of its integral, in ms rounded to the microsecond."""
     return {
         "command": command,
         "n": n,
@@ -129,7 +129,7 @@ def _record(command: str, n, value, detail) -> dict:
         "fixed_points": detail.fixed_point_count,
         "spec": _spec(detail.spec_used),
         "check_spec": _spec(detail.cross_check_spec),
-        "elapsed_ms": int(detail.elapsed_s * 1000),
+        "elapsed_ms": round(detail.elapsed_s * 1000, 3),
     }
 
 
@@ -143,9 +143,11 @@ def _cmd_donaldson(args) -> int:
     res = api.donaldson_q(args.n, seed=args.seed)
     spec = res.detail
     rec = _record("donaldson", args.n, res.q, spec)
+    num, den = res.prefactor
+    prefactor = f"{num}/{den}" if den != 1 else str(num)
     _emit_results(args.format, rec, [rec],
                   f"q_{4 * args.n - 3} = {res.q}  (raw integral {res.raw_integral}, "
-                  f"prefactor {res.prefactor}, {spec.fixed_point_count} fixed points)")
+                  f"prefactor {prefactor}, {spec.fixed_point_count} fixed points)")
     return 0
 
 

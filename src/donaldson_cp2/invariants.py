@@ -4,10 +4,11 @@ Darboux counts are the integrals c1(L)^i * s_{2n+2-i}(E tensor L) on
 Hilb^{n+1}(P^2).  The coefficient q_{4n-3} is one of them times an exact
 rational prefactor: 1/2^(5-n) times the count with i = 5-n for
 2 <= n <= 5, and 2/5 times the count with i = 0 in the special case n = 6.
+A prefactor is held as the int pair (num, den), and q is one exact
+integer division, so the module needs no `fractions`.
 """
 
 from collections import namedtuple
-from fractions import Fraction
 
 from .engine import IntegralResult, IntegrandSpec, integrate, integrate_by_m
 
@@ -18,6 +19,9 @@ class OutOfRange(ValueError):
 
 class DonaldsonResult(namedtuple("DonaldsonResult",
                                   "n q raw_integral prefactor detail")):
+    """q = raw_integral * num / den exactly, for prefactor = (num, den):
+    a pair of ints in lowest terms with den > 0."""
+
     __slots__ = ()
 
 
@@ -27,23 +31,22 @@ class DarbouxCount(namedtuple("DarbouxCount", "n i count validated detail")):
     __slots__ = ()
 
 
-def _as_integer(value: Fraction, what: str) -> int:
-    if value.denominator != 1:
-        raise ArithmeticError(f"{what} is not an integer: {value}")
-    return value.numerator
-
-
-def _donaldson_rule(n: int) -> tuple[int, Fraction]:
+def _donaldson_rule(n: int) -> tuple[int, tuple[int, int]]:
     """The Darboux row (its i) behind q_{4n-3} and the prefactor on it."""
     if not 2 <= n <= 6:
         raise OutOfRange(f"donaldson_q requires 2 <= n <= 6, got {n}")
     if n <= 5:
-        return 5 - n, Fraction(1, 2 ** (5 - n))
-    return 0, Fraction(2, 5)
+        return 5 - n, (1, 2 ** (5 - n))
+    return 0, (2, 5)
 
 
-def _donaldson_result(n: int, prefactor: Fraction, row: DarbouxCount) -> DonaldsonResult:
-    q = _as_integer(prefactor * row.count, f"q_{4 * n - 3}")
+def _donaldson_result(n: int, prefactor: tuple[int, int],
+                      row: DarbouxCount) -> DonaldsonResult:
+    num, den = prefactor
+    q, remainder = divmod(num * row.count, den)
+    if remainder:
+        raise ArithmeticError(f"q_{4 * n - 3} is not an integer: "
+                              f"{num} * {row.count} / {den}")
     return DonaldsonResult(n, q, row.detail.value, prefactor, row.detail)
 
 

@@ -59,6 +59,16 @@ def test_donaldson_command(capsys):
     assert "q_17 = 2540" in out
 
 
+@pytest.mark.parametrize("n, line", [
+    (2, "q_5 = 1  (raw integral 8, prefactor 1/8, 22 fixed points)"),
+    (5, "q_17 = 2540  (raw integral 2540, prefactor 1, 221 fixed points)"),
+    (6, "q_21 = 233208  (raw integral 583020, prefactor 2/5, 429 fixed points)"),
+], ids=["n2", "n5", "n6"])
+def test_donaldson_text_prints_the_prefactor_as_num_over_den(capsys, n, line):
+    assert run(["donaldson", "--n", str(n)]) == 0
+    assert capsys.readouterr().out == line + "\n"
+
+
 def test_donaldson_out_of_range(capsys):
     assert run(["donaldson", "--n", "9"]) == 2
     assert "OutOfRange" in capsys.readouterr().err
@@ -92,7 +102,7 @@ def test_json_output_schema(capsys):
     assert record["value"] == {"num": "8", "den": "1"}
     assert record["fixed_points"] == 22
     assert set(record["spec"]) == {"w1", "w2", "seed"}
-    assert isinstance(record["elapsed_ms"], int)
+    assert isinstance(record["elapsed_ms"], float)
 
 
 @pytest.mark.parametrize("argv,m", [
@@ -164,8 +174,10 @@ def test_table_json_rows_carry_their_integrand(capsys):
     for row in rows[:-1]:
         assert (row["i"], row["k"]) == (5 - row["n"], 3 * row["n"] - 3)
     assert (rows[-1]["i"], rows[-1]["k"]) == (0, 14)
-    # each row carries its own time, not the whole table's
-    assert all(isinstance(row["elapsed_ms"], int) for row in rows)
+    # each row carries its own time, not the whole table's, and a time
+    # under a millisecond is not truncated to 0
+    assert all(isinstance(row["elapsed_ms"], float) for row in rows)
+    assert all(row["elapsed_ms"] > 0 for row in rows)
     assert sum(row["elapsed_ms"] for row in rows) <= wall_ms
 
 

@@ -1,9 +1,7 @@
-from fractions import Fraction
-
 import pytest
 
-from donaldson_cp2 import engine
-from donaldson_cp2.engine import integrate
+from donaldson_cp2 import engine, invariants
+from donaldson_cp2.engine import IntegrandSpec, integrate
 from donaldson_cp2.invariants import (
     DarbouxCount,
     DonaldsonResult,
@@ -21,16 +19,26 @@ def test_small_donaldson_values():
 
 
 def test_donaldson_prefactors():
-    assert donaldson_q(2).prefactor == Fraction(1, 8)
-    assert donaldson_q(5).prefactor == 1
-    assert donaldson_q(6).prefactor == Fraction(2, 5)
+    assert donaldson_q(2).prefactor == (1, 8)
+    assert donaldson_q(5).prefactor == (1, 1)
+    assert donaldson_q(6).prefactor == (2, 5)
 
 
 def test_donaldson_raw_integral_is_integer():
-    for n in (2, 3, 4):
+    for n in range(2, 7):
         res = donaldson_q(n)
-        assert res.raw_integral.denominator == 1
-        assert res.q == res.prefactor * res.raw_integral
+        num, den = res.prefactor
+        assert type(res.q) is int and type(res.raw_integral) is int
+        assert res.q * den == num * res.raw_integral
+
+
+def test_donaldson_q_refuses_a_fractional_coefficient(monkeypatch):
+    # an odd count for n = 2, whose prefactor is 1/8
+    integral = invariants.integrate(3, IntegrandSpec(3, 3))
+    monkeypatch.setattr(invariants, "integrate",
+                        lambda *args, **kwargs: integral._replace(value=9))
+    with pytest.raises(ArithmeticError, match="q_5 is not an integer"):
+        donaldson_q(2)
 
 
 @pytest.mark.parametrize("n", [0, 1, 7, 10])
@@ -70,8 +78,9 @@ def test_cross_identity_small():
 def test_donaldson_is_a_prefactor_on_a_darboux_count(n):
     res = donaldson_q(n)
     row = darboux_count(n, max(5 - n, 0))
+    num, den = res.prefactor
     assert res.detail == row.detail
-    assert res.q == res.prefactor * row.count
+    assert res.q * den == num * row.count
 
 
 def test_invariant_table_rows():

@@ -118,10 +118,21 @@ def test_integrate_loads_no_fractions(body):
     assert _newly_loaded(body, {"fractions", "decimal", "numbers"}) == []
 
 
-def test_cli_donaldson_loads_fractions():
-    # the control: a Donaldson coefficient has a rational prefactor
-    body = _cli_run(["donaldson", "--n", "2"])
-    assert _newly_loaded(body, {"fractions", "decimal", "numbers"}) == [
+@pytest.mark.parametrize("body", [
+    _cli_run(["donaldson", "--n", "2"]),
+    _cli_run(["darboux", "--n", "2", "--i", "3"]),
+    _cli_run(["table", "--n-max", "3"]),
+    "import donaldson_cp2 as api\napi.invariant_table(3)",
+    "import donaldson_cp2.verify",
+], ids=["donaldson", "darboux", "table", "invariant_table", "verify"])
+def test_no_command_loads_fractions(body):
+    # a Donaldson prefactor is an int pair, so nothing needs fractions
+    assert _newly_loaded(body, {"fractions", "decimal", "numbers"}) == []
+
+
+def test_fractions_guard_sees_fractions():
+    # the control: the guard above can see these modules once they load
+    assert _newly_loaded("import fractions", {"fractions", "decimal", "numbers"}) == [
         "decimal", "fractions", "numbers"]
 
 

@@ -1,4 +1,4 @@
-from donaldson_cp2 import verify
+from donaldson_cp2 import engine, verify
 
 
 def test_run_checks_reports_each_check_with_its_time(monkeypatch):
@@ -12,3 +12,26 @@ def test_run_checks_reports_each_check_with_its_time(monkeypatch):
     assert all(r["ok"] for r in records) is False
     assert [verify.report_line(r) for r in records] == [
         "PASS first (1.25 s): fine", "FAIL second (0.50 s): broken"]
+
+
+def test_vanishing_builds_chart_tables_once(monkeypatch):
+    builds, shapes_built = [], []
+    chart_table, shapes = engine._chart_table, engine._shapes
+
+    def counted(*args):
+        builds.append(args)
+        return chart_table(*args)
+
+    def counted_shapes(m):
+        shapes_built.append(m)
+        return shapes(m)
+
+    monkeypatch.setattr(engine, "_chart_table", counted)
+    monkeypatch.setattr(engine, "_shapes", counted_shapes)
+    assert verify.check_vanishing() == (
+        True, "all i+k < 2m integrals vanish for m <= 7, one pass")
+    # 3 charts x 2 specializations, each at Hilb^7 and the largest k,
+    # shared by Hilb^1..Hilb^7
+    assert len(builds) == 6
+    assert {(len(args[0]) - 1, args[-1]) for args in builds} == {(7, 13)}
+    assert shapes_built == [7]
