@@ -54,12 +54,15 @@ each m from one set of chart tables per specialization, built once at
 the largest m and the largest k of the pass.  A table's entry of size s
 depends on the frame, the specialization and the truncation alone,
 never on m, and its H_l on H_0..H_(l-1) alone, so each m reads the first
-m+1 entries of each table and the first k+1 terms of each series.  Each
-integral is a different linear functional on the same per-triple
-series, so the series products and the Segre-basis sums of each degree
-are shared within an m, and every sum is one integer numerator over the
-common denominator of the triples.  `integrate_many` is the pass over
-one m and `integrate` the one-integrand pass.
+m+1 entries of each table and the first k+1 terms of each series.  A
+product of two series truncated at the largest k is exact on every
+prefix for the same reason, so the products of chart 1's and chart 2's
+series, the same in every m with room for both sizes, are shared across
+the pass.  Each integral is a different linear functional on the same
+per-triple series, so the products with chart 3 and the Segre-basis sums
+of each degree are shared within an m, and every sum is one integer
+numerator over the common denominator of the triples.  `integrate_many`
+is the pass over one m and `integrate` the one-integrand pass.
 
 Every value is an int: the fixed-point sum of an integral class on the
 smooth projective Hilb^m(P^2) is its equivariant integral, a polynomial
@@ -240,8 +243,22 @@ def _chart_table(shapes, frame, w1: int, w2: int, k: int):
 
 
 def _convolve(p, q):
-    """The product of two series truncated to the length of p."""
-    return [sum(map(mul, p[:l + 1], q[l::-1])) for l in range(len(p))]
+    """The product of two series truncated to the length of p; q may be
+    longer.  q's first len(p) terms are reversed once, and term l is p
+    against the last l+1 of them: map stops at the shorter operand."""
+    n = len(p)
+    r = q[n - 1::-1]
+    return [sum(map(mul, p, r[n - 1 - l:])) for l in range(n)]
+
+
+def _pair_products(tables, m: int):
+    """(a, b) -> chart 1's series of size a times chart 2's of size b, for
+    a, b >= 1 with a + b <= m, at the tables' length.  Truncated products
+    are exact on every prefix, as the entries are, so every Hilb^m of a
+    pass with tables built at m reads these same products."""
+    first, second = tables[0], tables[1]
+    return {(a, b): _convolve(first[a][1], second[b][1])
+            for a in range(1, m) for b in range(1, m - a + 1)}
 
 
 def fixed_point_sum(m: int, spec: Specialization, integrands,
@@ -253,19 +270,23 @@ def fixed_point_sum(m: int, spec: Specialization, integrands,
     k_max = max((integrand.k for integrand in integrands), default=0)
     shapes = _shapes(m)
     tables = [_chart_table(shapes, frame, spec.w1, spec.w2, k_max) for frame in frames]
-    return _chart_sum(m, spec, tables, frames, integrands)
+    return _chart_sum(m, spec, tables, _pair_products(tables, m), frames, integrands)
 
 
-def _chart_sum(m: int, spec: Specialization, tables, frames, integrands):
+def _chart_sum(m: int, spec: Specialization, tables, pairs, frames, integrands):
     """The fixed-point sum over Hilb^m at spec, one int per integrand,
     from chart tables of at least m+1 sizes and at least the largest k
-    terms, in lowest terms or not.
+    terms, in lowest terms or not, and their `_pair_products` for at least
+    this m.
 
-    Per triple of chart sizes the series of the nonempty charts are
-    multiplied, truncated at the largest k: an empty chart's series is
-    1, so a triple with one empty chart costs one product and a triple
-    with two costs none.  The shift by lambda is taken once, at the end,
-    in the Segre basis:
+    A triple of chart sizes (a, b, c) starts from the shared pair product
+    when a and b are both nonempty, from the one nonempty series of the
+    two otherwise, or from the empty chart's series 1, and costs one more
+    product, truncated at the largest k, when c is nonempty and a or b
+    is too.  Longer series are read by their prefixes: H_l depends only
+    on H_0..H_(l-1), so the truncated series and products are still
+    exact.  The shift by lambda is taken once, at the end, in the Segre
+    basis:
 
         lambda^i s_k = sum_l C(m-1+k, k-l) lambda^(i+k-l) h_l,
 
@@ -281,10 +302,8 @@ def _chart_sum(m: int, spec: Specialization, tables, frames, integrands):
     """
     w1, w2 = spec.w1, spec.w2
     k_max = max((integrand.k for integrand in integrands), default=0)
-    if len(tables[0][0][1]) > k_max + 1:
-        # H_l depends only on H_0..H_(l-1), so the truncated entries are
-        # still exact; a table built for this k is read as it is
-        tables = [[(den, h[:k_max + 1]) for den, h in table[:m + 1]] for table in tables]
+    first, second, third = tables
+    thirds = [h[:k_max + 1] for _, h in third[:m + 1]]
     lines = [a * w1 + b * w2 for _, _, (a, b) in frames]
     # per degree d = i + k, the largest k: its sums run over l = 0..k
     tops = {}
@@ -295,20 +314,17 @@ def _chart_sum(m: int, spec: Specialization, tables, frames, integrands):
     triples = []
     for a in range(m + 1):
         for b in range(m - a + 1):
-            sizes = (a, b, m - a - b)
-            charts = [table[size] for table, size in zip(tables, sizes)]
-            # an empty chart's series is 1, so only the nonempty ones are
-            # multiplied; at m = 0 all three are empty
-            series = [h for size, (_, h) in zip(sizes, charts) if size]
-            triples.append((charts[0][0] * charts[1][0] * charts[2][0],
-                            series or [charts[0][1]],
-                            sum(map(mul, sizes, lines))))
+            c = m - a - b
+            # an empty chart's series is 1, so at a = b = 0 the second
+            # chart's entry 0 stands for both
+            product = pairs[a, b] if a and b else first[a][1] if a else second[b][1]
+            if c:
+                product = _convolve(thirds[c], product) if a or b else thirds[c]
+            triples.append((first[a][0] * second[b][0] * third[c][0], product,
+                            a * lines[0] + b * lines[1] + c * lines[2]))
     denominator = lcm(*(den for den, _, _ in triples))
     sums = {d: [0] * (top + 1) for d, top in tops.items()}
-    for den, series, lam in triples:
-        product = series[0]
-        for h in series[1:]:
-            product = _convolve(product, h)
+    for den, product, lam in triples:
         # scale * lam^j for j = 0..d_max
         powers = list(accumulate(repeat(lam, d_max), mul,
                                  initial=denominator // den))
@@ -349,7 +365,8 @@ def integrate_by_m(passes, *, seed: int = 0,
                    frames=DEFAULT_FRAMES) -> dict[int, tuple[IntegralResult, ...]]:
     """Integrate, for each m of passes, every c1(L)^i * s_k(E tensor L)
     in passes[m] over Hilb^m(P^2) exactly, in one pass: one set of chart
-    tables per specialization serves every m.
+    tables and of their `_pair_products` per specialization serves every
+    m.
 
     Each integrand requires i + k <= 2m; for i + k < 2m the value is 0
     by degree reasons, which the summation confirms.  Every m and every
@@ -358,8 +375,9 @@ def integrate_by_m(passes, *, seed: int = 0,
     the largest m, where the tables are built up to the largest k, and
     each m's values must agree across them.  Returns m -> one result per
     integrand, in order.  Each result's elapsed_s is the time of its m's
-    own sums and cross-check; m_top is charged the shared shapes and
-    tables too, so the times of the m add up to no more than the call.
+    own sums and cross-check; m_top is charged the shared shapes, tables
+    and pair products too, so the times of the m add up to no more than
+    the call.
     """
     passes = {m: _checked(m, integrands) for m, integrands in passes.items()}
     if not passes:
@@ -373,12 +391,14 @@ def integrate_by_m(passes, *, seed: int = 0,
     specs = specializations(m_top, seed)
     tables = [[_chart_table(shapes, frame, spec.w1, spec.w2, k_top) for frame in frames]
               for spec in specs]
+    pairs = [_pair_products(spec_tables, m_top) for spec_tables in tables]
     results = {}
     # m_top goes first, so that its clock runs over the shared work too
     for m in sorted(passes, key=lambda m: m != m_top):
         integrands = passes[m]
-        values, check_values = (_chart_sum(m, spec, spec_tables, frames, integrands)
-                                for spec, spec_tables in zip(specs, tables))
+        values, check_values = (
+            _chart_sum(m, spec, spec_tables, spec_pairs, frames, integrands)
+            for spec, spec_tables, spec_pairs in zip(specs, tables, pairs))
         for integrand, value, check_value in zip(integrands, values, check_values):
             if value != check_value:
                 raise ArithmeticError(

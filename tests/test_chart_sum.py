@@ -25,6 +25,7 @@ from donaldson_cp2.engine import (
     integrate_many,
     specializations,
 )
+from donaldson_cp2.invariants import invariant_table
 from fixed_point_reference import (
     e_weights,
     elementary_symmetric,
@@ -151,6 +152,20 @@ def test_integrate_by_m_answers_each_m_as_alone():
     assert list(results) == list(passes)
     for m, integrands in passes.items():
         alone = integrate_many(m, integrands, seed=7)
+        assert [(res.value, res.fixed_point_count) for res in results[m]] == \
+            [(res.value, res.fixed_point_count) for res in alone]
+
+
+def test_integrate_by_m_answers_each_m_as_alone_in_shifted_frames():
+    # the largest k comes from Hilb^3, so Hilb^2 reads a short prefix of
+    # every pair product of the pass, built at Hilb^5 and k = 6
+    frames = chart_frames((3, -2))
+    passes = {2: [IntegrandSpec(0, 4), IntegrandSpec(1, 3)], 5: [IntegrandSpec(10, 0)],
+              0: [IntegrandSpec(0, 0)], 3: [IntegrandSpec(0, 6), IntegrandSpec(6, 0)]}
+    results = integrate_by_m(passes, seed=7, frames=frames)
+    assert list(results) == list(passes)
+    for m, integrands in passes.items():
+        alone = integrate_many(m, integrands, seed=7, frames=frames)
         assert [(res.value, res.fixed_point_count) for res in results[m]] == \
             [(res.value, res.fixed_point_count) for res in alone]
 
@@ -338,3 +353,77 @@ def test_values_are_ints():
     for spec in specializations(m, 0) + (Specialization(5, -7, seed=0),):
         assert all(type(value) is int
                    for value in fixed_point_sum(m, spec, integrands))
+
+
+def count_products(monkeypatch):
+    """The length of p in every `_convolve(p, q)` from now on."""
+    products = []
+    convolve = engine._convolve
+
+    def counted(p, q):
+        products.append(len(p))
+        return convolve(p, q)
+
+    monkeypatch.setattr(engine, "_convolve", counted)
+    return products
+
+
+def pass_products(ms, m_top):
+    """Products per specialization of a pass over ms: each chart-1 x
+    chart-2 product once, then per m one product with chart 3 for every
+    triple with chart 3 and chart 1 or 2 nonempty."""
+    return comb(m_top, 2) + sum((m - 1) * (m + 2) // 2 for m in ms)
+
+
+def test_paper_table_multiplies_each_pair_product_once(monkeypatch):
+    products = count_products(monkeypatch)
+    invariant_table(6, darboux_n=(2, 3, 4, 5))
+    # Hilb^3..Hilb^7 at two specializations: 96 products each, where one
+    # pass per m would make sum (m-1)(m+1) = 130
+    assert pass_products(range(3, 8), 7) == 96
+    assert len(products) == 2 * 96
+
+
+def test_a_pass_shares_pair_products_at_the_largest_k(monkeypatch):
+    # the largest m asks only for k = 0 and the largest k comes from
+    # Hilb^5: the pair products are built at Hilb^9 and k = 9, and each
+    # m multiplies by chart 3 at its own largest k
+    passes = {2: [IntegrandSpec(0, 4)], 5: [IntegrandSpec(1, 9), IntegrandSpec(10, 0)],
+              9: [IntegrandSpec(18, 0)]}
+    products = count_products(monkeypatch)
+    built = []
+    pair_products = engine._pair_products
+
+    def recorded(tables, m):
+        built.append((m, pair_products(tables, m)))
+        return built[-1][1]
+
+    monkeypatch.setattr(engine, "_pair_products", recorded)
+    results = integrate_by_m(passes, seed=5)
+    # per specialization: 36 pair products of length 10, then 2 products
+    # of length 5 on Hilb^2, 14 of length 10 on Hilb^5 and 44 of length 1
+    # on Hilb^9
+    assert pass_products(passes, 9) == 36 + 2 + 14 + 44
+    assert sorted(products) == sorted([10] * 2 * (36 + 14) + [5] * 2 * 2 + [1] * 2 * 44)
+    assert len(built) == 2
+    for m, pairs in built:
+        assert m == 9
+        assert set(pairs) == {(a, b) for a in range(1, 9) for b in range(1, 10 - a)}
+        assert {len(product) for product in pairs.values()} == {10}
+    for m, integrands in passes.items():
+        alone = integrate_many(m, integrands, seed=5)
+        assert [(res.value, res.fixed_point_count) for res in results[m]] == \
+            [(res.value, res.fixed_point_count) for res in alone]
+
+
+def schoolbook(p, q):
+    return [sum(p[j] * q[l - j] for j in range(l + 1)) for l in range(len(p))]
+
+
+@pytest.mark.parametrize("n, extra", [(1, 0), (1, 5), (7, 0), (7, 4), (21, 20)])
+def test_convolve_is_the_product_truncated_to_p(n, extra):
+    rng = random.Random(n * 100 + extra)
+    for _ in range(20):
+        p = [rng.randint(-10**30, 10**30) for _ in range(n)]
+        q = [rng.randint(-10**30, 10**30) for _ in range(n + extra)]
+        assert engine._convolve(p, q) == schoolbook(p, q)

@@ -35,3 +35,25 @@ def test_vanishing_builds_chart_tables_once(monkeypatch):
     assert len(builds) == 6
     assert {(len(args[0]) - 1, args[-1]) for args in builds} == {(7, 13)}
     assert shapes_built == [7]
+
+
+def test_c1_power_oracle_builds_chart_tables_once(monkeypatch):
+    builds, shapes_built = [], []
+    chart_table, shapes = engine._chart_table, engine._shapes
+
+    def counted(*args):
+        builds.append(args)
+        return chart_table(*args)
+
+    def counted_shapes(m):
+        shapes_built.append(m)
+        return shapes(m)
+
+    monkeypatch.setattr(engine, "_chart_table", counted)
+    monkeypatch.setattr(engine, "_shapes", counted_shapes)
+    assert verify.check_c1_power_oracle() == (True, "c1(L)^2m = (2m-1)!! for m=1..9")
+    # 3 charts x 2 specializations, each at Hilb^9 and k = 0, shared by
+    # Hilb^1..Hilb^9
+    assert len(builds) == 6
+    assert {(len(args[0]) - 1, args[-1]) for args in builds} == {(9, 0)}
+    assert shapes_built == [9]
