@@ -125,18 +125,12 @@ def _record(command: str, n, value, detail) -> dict:
         "n": n,
         "i": detail.integrand.i,
         "k": detail.integrand.k,
-        "value": {"num": str(value.numerator), "den": str(value.denominator)},
+        "value": str(value),
         "fixed_points": detail.fixed_point_count,
         "spec": _spec(detail.spec_used),
         "check_spec": _spec(detail.cross_check_spec),
         "elapsed_ms": round(detail.elapsed_s * 1000, 3),
     }
-
-
-def _emit_results(fmt: str, payload, records: list, text: str):
-    """Result records, with each value as num/den in the CSV_KEYS columns."""
-    rows = [dict(r, value=f"{r['value']['num']}/{r['value']['den']}") for r in records]
-    _emit(fmt, payload, rows, CSV_KEYS, text)
 
 
 def _cmd_donaldson(args) -> int:
@@ -145,9 +139,9 @@ def _cmd_donaldson(args) -> int:
     rec = _record("donaldson", args.n, res.q, spec)
     num, den = res.prefactor
     prefactor = f"{num}/{den}" if den != 1 else str(num)
-    _emit_results(args.format, rec, [rec],
-                  f"q_{4 * args.n - 3} = {res.q}  (raw integral {res.raw_integral}, "
-                  f"prefactor {prefactor}, {spec.fixed_point_count} fixed points)")
+    _emit(args.format, rec, [rec], CSV_KEYS,
+          f"q_{4 * args.n - 3} = {res.q}  (raw integral {res.raw_integral}, "
+          f"prefactor {prefactor}, {spec.fixed_point_count} fixed points)")
     return 0
 
 
@@ -156,24 +150,24 @@ def _cmd_darboux(args) -> int:
     rec = _record("darboux", args.n, res.count, res.detail)
     if not res.validated:
         rec["note"] = "unvalidated against the published values (n > 6)"
-    _emit_results(args.format, rec, [rec],
-                  f"darboux(n={args.n}, i={args.i}) = {res.count}"
-                  + ("" if res.validated else "  [unvalidated: n > 6]"))
+    _emit(args.format, rec, [rec], CSV_KEYS,
+          f"darboux(n={args.n}, i={args.i}) = {res.count}"
+          + ("" if res.validated else "  [unvalidated: n > 6]"))
     return 0
 
 
 def _cmd_integrate(args) -> int:
     res = api.integrate(args.m, parse_integrand(args.expr), seed=args.seed)
     rec = _record("integrate", args.m, res.value, res)
-    _emit_results(args.format, rec, [rec], f"integral over H_{args.m} = {res.value}")
+    _emit(args.format, rec, [rec], CSV_KEYS, f"integral over H_{args.m} = {res.value}")
     return 0
 
 
 def _cmd_table(args) -> int:
     rows = api.invariant_table(args.n_max, seed=args.seed)
     records = [_record("table", row.n, row.q, row.detail) for row in rows]
-    _emit_results(args.format, records, records,
-                  "\n".join(f"n={row.n}  q_{4 * row.n - 3} = {row.q}" for row in rows))
+    _emit(args.format, records, records, CSV_KEYS,
+          "\n".join(f"n={row.n}  q_{4 * row.n - 3} = {row.q}" for row in rows))
     return 0
 
 

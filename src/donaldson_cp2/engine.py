@@ -197,7 +197,9 @@ def _count_triples(counts, m: int) -> int:
 
 def fixed_point_count(m: int) -> int:
     """The number of torus-fixed points of Hilb^m(P^2): the triples of
-    partitions of total size m that the chart sum runs over."""
+    partitions of total size m that the chart sum runs over.  An m that
+    `integrate` refuses is refused here too, before any work."""
+    _checked(m, ())
     return _count_triples([len(by_size) for by_size in _shapes(m)], m)
 
 
@@ -266,7 +268,8 @@ def fixed_point_sum(m: int, spec: Specialization, integrands,
     """The fixed-point formula at spec: the sum over all fixed points of
     Hilb^m of lambda^i * s_k / euler, one value per integrand, computed
     chart by chart from chart tables built for Hilb^m up to the largest
-    k.  See `_chart_sum`."""
+    k.  The one entry point that takes frames; the others sum in
+    DEFAULT_FRAMES.  See `_chart_sum`."""
     k_max = max((integrand.k for integrand in integrands), default=0)
     shapes = _shapes(m)
     tables = [_chart_table(shapes, frame, spec.w1, spec.w2, k_max) for frame in frames]
@@ -361,12 +364,11 @@ def _checked(m: int, integrands) -> tuple[IntegrandSpec, ...]:
     return integrands
 
 
-def integrate_by_m(passes, *, seed: int = 0,
-                   frames=DEFAULT_FRAMES) -> dict[int, tuple[IntegralResult, ...]]:
+def integrate_by_m(passes, *, seed: int = 0) -> dict[int, tuple[IntegralResult, ...]]:
     """Integrate, for each m of passes, every c1(L)^i * s_k(E tensor L)
     in passes[m] over Hilb^m(P^2) exactly, in one pass: one set of chart
-    tables and of their `_pair_products` per specialization serves every
-    m.
+    tables in DEFAULT_FRAMES and of their `_pair_products` per
+    specialization serves every m.
 
     Each integrand requires i + k <= 2m; for i + k < 2m the value is 0
     by degree reasons, which the summation confirms.  Every m and every
@@ -389,15 +391,15 @@ def integrate_by_m(passes, *, seed: int = 0,
     shapes = _shapes(m_top)
     counts = [len(by_size) for by_size in shapes]
     specs = specializations(m_top, seed)
-    tables = [[_chart_table(shapes, frame, spec.w1, spec.w2, k_top) for frame in frames]
-              for spec in specs]
+    tables = [[_chart_table(shapes, frame, spec.w1, spec.w2, k_top)
+               for frame in DEFAULT_FRAMES] for spec in specs]
     pairs = [_pair_products(spec_tables, m_top) for spec_tables in tables]
     results = {}
     # m_top goes first, so that its clock runs over the shared work too
     for m in sorted(passes, key=lambda m: m != m_top):
         integrands = passes[m]
         values, check_values = (
-            _chart_sum(m, spec, spec_tables, spec_pairs, frames, integrands)
+            _chart_sum(m, spec, spec_tables, spec_pairs, DEFAULT_FRAMES, integrands)
             for spec, spec_tables, spec_pairs in zip(specs, tables, pairs))
         for integrand, value, check_value in zip(integrands, values, check_values):
             if value != check_value:
@@ -414,16 +416,14 @@ def integrate_by_m(passes, *, seed: int = 0,
     return {m: results[m] for m in passes}
 
 
-def integrate_many(m: int, integrands, *, seed: int = 0,
-                   frames=DEFAULT_FRAMES) -> tuple[IntegralResult, ...]:
+def integrate_many(m: int, integrands, *, seed: int = 0) -> tuple[IntegralResult, ...]:
     """Integrate every c1(L)^i * s_k(E tensor L) in integrands over
     Hilb^m(P^2) exactly, in one pass: the one-m case of `integrate_by_m`,
     at the two `specializations(m, seed)`."""
-    return integrate_by_m({m: integrands}, seed=seed, frames=frames)[m]
+    return integrate_by_m({m: integrands}, seed=seed)[m]
 
 
-def integrate(m: int, integrand: IntegrandSpec, *, seed: int = 0,
-              frames=DEFAULT_FRAMES) -> IntegralResult:
+def integrate(m: int, integrand: IntegrandSpec, *, seed: int = 0) -> IntegralResult:
     """Integrate c1(L)^i * s_k(E tensor L) over Hilb^m(P^2) exactly: the
     one-integrand case of `integrate_many`."""
-    return integrate_many(m, (integrand,), seed=seed, frames=frames)[0]
+    return integrate_many(m, (integrand,), seed=seed)[0]

@@ -89,17 +89,28 @@ def test_reference_table_is_the_plain_sum():
             assert value == reference_sum(fps, spec, IntegrandSpec(i, k), frames)
 
 
+def seam_values(m, integrands, specs, frames_name):
+    """`fixed_point_sum`, the one entry point that takes frames, of
+    integrands on Hilb^m at each of specs: the values must agree."""
+    values = {fixed_point_sum(m, spec, integrands, FRAMES[frames_name]) for spec in specs}
+    assert len(values) == 1, values
+    return values.pop()
+
+
 @pytest.mark.parametrize("frames_name", sorted(FRAMES))
 @pytest.mark.parametrize("m", range(7))
 def test_integrate_matches_per_fixed_point_sum(m, frames_name):
-    frames = FRAMES[frames_name]
     specs, count, want = reference_run(m, frames_name)
     for i in range(2 * m + 1):
         for k in range(2 * m + 1 - i):
-            res = integrate(m, IntegrandSpec(i, k), seed=100 + m, frames=frames)
-            assert [res.spec_used, res.cross_check_spec] == specs
-            assert res.fixed_point_count == count
-            assert res.value == want[i, k], (m, i, k)
+            if frames_name == "default":
+                res = integrate(m, IntegrandSpec(i, k), seed=100 + m)
+                assert [res.spec_used, res.cross_check_spec] == specs
+                assert res.fixed_point_count == count
+                value = res.value
+            else:
+                (value,) = seam_values(m, (IntegrandSpec(i, k),), specs, frames_name)
+            assert value == want[i, k], (m, i, k)
 
 
 @pytest.mark.parametrize("frames_name", sorted(FRAMES))
@@ -108,13 +119,17 @@ def test_integrate_many_is_the_reference_table_in_one_pass(m, frames_name):
     specs, count, want = reference_run(m, frames_name)
     integrands = [IntegrandSpec(i, k) for i in range(2 * m + 1)
                   for k in range(2 * m + 1 - i)]
-    results = integrate_many(m, integrands, seed=100 + m, frames=FRAMES[frames_name])
-    assert [res.integrand for res in results] == integrands
-    for res in results:
-        assert [res.spec_used, res.cross_check_spec] == specs
-        assert res.fixed_point_count == count
-        assert res.value == want[res.integrand.i, res.integrand.k], (m, res.integrand)
-    assert len({res.elapsed_s for res in results}) == 1
+    if frames_name == "default":
+        results = integrate_many(m, integrands, seed=100 + m)
+        assert [res.integrand for res in results] == integrands
+        for res in results:
+            assert [res.spec_used, res.cross_check_spec] == specs
+            assert res.fixed_point_count == count
+        assert len({res.elapsed_s for res in results}) == 1
+        values = [res.value for res in results]
+    else:
+        values = seam_values(m, integrands, specs, frames_name)
+    assert list(values) == [want[integrand] for integrand in integrands], m
 
 
 def test_integrate_many_validates_every_integrand():
@@ -131,17 +146,25 @@ def every_integrand(m):
 @pytest.mark.parametrize("frames_name", sorted(FRAMES))
 def test_integrate_by_m_is_the_reference_table_at_every_m(frames_name):
     # one pass over m = 0..6 reads tables built at m = 6 and k = 12: m = 0
-    # reads the empty chart alone, and each smaller m a shorter series
-    results = integrate_by_m({m: every_integrand(m) for m in range(7)}, seed=3,
-                             frames=FRAMES[frames_name])
-    assert list(results) == list(range(7))
-    for m, by_integrand in results.items():
+    # reads the empty chart alone, and each smaller m a shorter series;
+    # the pass sums in the default frames, and each m at the pass's
+    # specializations through fixed_point_sum in the shifted ones
+    specs = list(specializations(6, 3))
+    if frames_name == "default":
+        results = integrate_by_m({m: every_integrand(m) for m in range(7)}, seed=3)
+        assert list(results) == list(range(7))
+    for m in range(7):
         _, count, want = reference_run(m, frames_name)
-        assert [res.integrand for res in by_integrand] == every_integrand(m)
-        for res in by_integrand:
-            assert (res.m, res.fixed_point_count) == (m, count)
-            assert [res.spec_used, res.cross_check_spec] == list(specializations(6, 3))
-            assert res.value == want[res.integrand.i, res.integrand.k], (m, res.integrand)
+        if frames_name == "default":
+            by_integrand = results[m]
+            assert [res.integrand for res in by_integrand] == every_integrand(m)
+            for res in by_integrand:
+                assert (res.m, res.fixed_point_count) == (m, count)
+                assert [res.spec_used, res.cross_check_spec] == specs
+            values = [res.value for res in by_integrand]
+        else:
+            values = seam_values(m, every_integrand(m), specs, frames_name)
+        assert list(values) == [want[integrand] for integrand in every_integrand(m)], m
 
 
 def test_integrate_by_m_answers_each_m_as_alone():
@@ -152,20 +175,6 @@ def test_integrate_by_m_answers_each_m_as_alone():
     assert list(results) == list(passes)
     for m, integrands in passes.items():
         alone = integrate_many(m, integrands, seed=7)
-        assert [(res.value, res.fixed_point_count) for res in results[m]] == \
-            [(res.value, res.fixed_point_count) for res in alone]
-
-
-def test_integrate_by_m_answers_each_m_as_alone_in_shifted_frames():
-    # the largest k comes from Hilb^3, so Hilb^2 reads a short prefix of
-    # every pair product of the pass, built at Hilb^5 and k = 6
-    frames = chart_frames((3, -2))
-    passes = {2: [IntegrandSpec(0, 4), IntegrandSpec(1, 3)], 5: [IntegrandSpec(10, 0)],
-              0: [IntegrandSpec(0, 0)], 3: [IntegrandSpec(0, 6), IntegrandSpec(6, 0)]}
-    results = integrate_by_m(passes, seed=7, frames=frames)
-    assert list(results) == list(passes)
-    for m, integrands in passes.items():
-        alone = integrate_many(m, integrands, seed=7, frames=frames)
         assert [(res.value, res.fixed_point_count) for res in results[m]] == \
             [(res.value, res.fixed_point_count) for res in alone]
 
@@ -206,6 +215,26 @@ def test_integrate_by_m_refuses_a_degree_of_a_small_m_before_any_work(monkeypatc
 def test_integrate_by_m_of_no_passes_builds_nothing(monkeypatch):
     forbid_work(monkeypatch)
     assert integrate_by_m({}) == {}
+
+
+@pytest.mark.parametrize("m, message", [
+    (-1, "m must be nonnegative"),
+    (MAX_M + 1, f"at most MAX_M = {MAX_M}, got {MAX_M + 1}"),
+], ids=["negative", "above_cap"])
+def test_fixed_point_count_refuses_a_bad_m_before_any_work(monkeypatch, m, message):
+    forbid_work(monkeypatch)
+    with pytest.raises(ValueError, match=message):
+        engine.fixed_point_count(m)
+
+
+def test_frames_keyword_is_gone():
+    # fixed_point_sum is the one entry point that takes frames
+    with pytest.raises(TypeError):
+        integrate(1, IntegrandSpec(0, 2), frames=DEFAULT_FRAMES)
+    with pytest.raises(TypeError):
+        integrate_many(1, [IntegrandSpec(0, 2)], frames=DEFAULT_FRAMES)
+    with pytest.raises(TypeError):
+        integrate_by_m({1: [IntegrandSpec(0, 2)]}, frames=DEFAULT_FRAMES)
 
 
 def test_one_sum_answers_each_integrand_as_alone():

@@ -11,6 +11,7 @@ from donaldson_cp2.engine import (
     Specialization,
     chart_frames,
     fixed_point_count,
+    fixed_point_sum,
     integrate,
     specializations,
 )
@@ -160,11 +161,17 @@ def test_manual_sign_flip_specialization():
 
 
 def test_linearization_shift_invariance():
+    # fixed_point_sum is the one entry point that takes frames: at both
+    # specializations the shifted sum is the default integral, chart by
+    # chart and fixed point by fixed point
     frames = chart_frames((3, -2))
     for m, integrand in [(2, IntegrandSpec(4, 0)), (3, IntegrandSpec(3, 3)),
                          (3, IntegrandSpec(0, 6))]:
-        assert integrate(m, integrand, frames=frames).value == \
-            integrate(m, integrand).value
+        value = integrate(m, integrand).value
+        for spec in specializations(m, 0):
+            assert fixed_point_sum(m, spec, (integrand,), frames) == (value,)
+            assert sum(integrand_at(fp, spec, integrand, frames)
+                       for fp in enumerate_fixed_points(m)) == value
 
 
 def test_run_to_run_determinism():
