@@ -14,6 +14,7 @@ is computed over the integers.
 
 import random
 from collections import namedtuple
+from functools import lru_cache
 from itertools import accumulate, combinations, repeat
 from math import gcd
 from operator import mul
@@ -25,7 +26,7 @@ Point = tuple[int, int, int]
 COORD_RANGE = 30  # sampled coordinates lie in [-COORD_RANGE, COORD_RANGE]
 MAX_TRIES = 1000  # configurations drawn before sampling gives up
 # Largest n sampled.  Every seed tried succeeds up to n = 29, but one witness
-# takes 0.2-0.45 s at n = 24 and 0.8-1.8 s at n = 29 on a 2-core box, up to
+# takes 0.17-0.38 s at n = 24 and 0.7-1.4 s at n = 29 on a 2-core box, up to
 # 0.9 s of it redraws; the curve is 2-7 ms of it, incidence and rank the rest.
 MAX_N = 24
 
@@ -245,12 +246,21 @@ def barth_curve(datum: HulsbergenDatum) -> PlaneCurve:
     return PlaneCurve(datum.config.n, tuple(v // g for v in total))
 
 
+@lru_cache(maxsize=1)
+def _node_rows(config: PlaneConfiguration) -> tuple:
+    """The node-evaluation matrix of the configuration: one row per node,
+    its degree-n monomials in monomials order.  A witness checks incidence
+    and ranks the system on the same configuration, so the last matrix
+    built is kept and shared by every caller, hence tuples throughout."""
+    return tuple(tuple(monomial_values(config.n, node)) for node in config.nodes())
+
+
 def verify_darboux(config: PlaneConfiguration, curve: PlaneCurve) -> bool:
     """True iff the curve vanishes at every node of the dual-line
     configuration (exact evaluation)."""
     if curve.degree != config.n:
         raise ValueError("curve degree must equal n")
-    return all(curve.evaluate(node) == 0 for node in config.nodes())
+    return all(sum(map(mul, curve.coefficients, row)) == 0 for row in _node_rows(config))
 
 
 def darboux_system_dimension(config: PlaneConfiguration) -> int:
@@ -259,5 +269,5 @@ def darboux_system_dimension(config: PlaneConfiguration) -> int:
     The expected rank is full row rank, n(n+1)/2, which a rank modulo
     one prime certifies; only a configuration whose matrix loses rank
     modulo that prime is ranked by Bareiss elimination over Z."""
-    rows = [monomial_values(config.n, node) for node in config.nodes()]
+    rows = _node_rows(config)
     return len(rows[0]) - 1 - rank(rows)

@@ -95,7 +95,7 @@ def parse_integrand(text: str) -> "api.IntegrandSpec":
 
 
 CSV_KEYS = ("command", "n", "i", "k", "value", "fixed_points")
-# Most witness samples in one call: one witness took 0.25-0.41 s at n = 24
+# Most witness samples in one call: one witness took 0.21-0.32 s at n = 24
 # on a 2-core box (means over 10 seeds), so 100 take under a minute.
 MAX_SAMPLES = 100
 

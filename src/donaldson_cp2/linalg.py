@@ -3,12 +3,21 @@ elimination for determinants and ranks, and a rank certified modulo a
 prime that falls back to Bareiss when the certificate fails.
 
 The modular rank packs each row into one int, one slot per column, of
-width 2 * P.bit_length() + rows.bit_length() + 1 bits: a slot stays
-below P + rows * P**2, so elimination never carries between slots."""
+width 2 * P.bit_length() + rows.bit_length() + 2 bits.  It scales the
+pivot row a whole row at a time with folds, fold(x) = (x & LOW) + 35 *
+(x >> 30 & HIGH), LOW and HIGH masking the low 30 and the high width - 30
+bits of every slot; a fold keeps each slot's class because 2**30 is 35
+modulo P.  Two folds before the multiply by the pivot's inverse and two
+after leave every slot of the scaled row below 2 * P, as long as there
+are fewer than 2**17 rows, so a slot stays below P + rows * 2 * P**2 and
+elimination never carries between slots."""
 
 from math import lcm
 
 P = 2**30 - 35  # the largest prime below 2**30: a reduced entry is one CPython digit
+_LOW_BITS = P.bit_length()  # 30: the part of a slot a fold keeps in place
+_FOLD = 2**_LOW_BITS - P  # 35 = 2**30 modulo P: what a fold multiplies the rest by
+MAX_MOD_P_ROWS = 2**17  # two folds bring a slot below 2 * P for fewer rows than this
 
 
 def clear_denominators(row) -> list[int]:
@@ -71,23 +80,32 @@ def _rank_mod_p(matrix) -> int:
     Each row is one int with a width-bit slot per column, column 0 in the
     lowest slot.  Eliminating a row is one multiply-add on the whole row,
     row + (P - f) * top, where f is the row's entry in the pivot column and
-    top the rest of the pivot row, reduced and scaled by the pivot's
-    inverse.  A row takes at most one such step per pivot, each adding
-    less than P**2 to a slot that started below P, so a slot stays below
-    P + rows * P**2 < 2**width: it never goes negative and never carries
-    into its neighbour.  A slot is reduced modulo P only when it is read.
-    After each column every row drops its lowest slot, so the pivot
-    column is always the lowest.
+    top the rest of the pivot row scaled by the pivot's inverse.  top is
+    fold(fold(fold(fold(rest)) * inverse)), where fold(x) = (x & LOW) +
+    35 * (x >> 30 & HIGH) replaces each slot s by (s mod 2**30) + 35 *
+    (s >> 30), the same class modulo P as 2**30 is 35 modulo P.  A slot
+    of rest is below 2**width.  For fewer than MAX_MOD_P_ROWS = 2**17
+    rows, which rank checks, two folds bring it below 2 * P, the multiply
+    below 2 * P**2 and two more folds below 2 * P again, and no slot ever
+    reaches 2**width.  A row takes at most one step per pivot, each adding
+    less than 2 * P**2 to a slot that started below P, so a slot stays
+    below P + rows * 2 * P**2 < 2**width: it never goes negative and never
+    carries into its neighbour.  A slot is reduced modulo P only when it
+    is read.  After each column every row drops its lowest slot, so the
+    pivot column is always the lowest.
     """
     rows = len(matrix)
     cols = len(matrix[0]) if matrix else 0
-    width = 2 * P.bit_length() + rows.bit_length() + 1
+    width = 2 * P.bit_length() + rows.bit_length() + 2
     mask = (1 << width) - 1
+    ones = ((1 << width * cols) - 1) // mask  # a 1 in the lowest bit of every slot
+    low = ones * ((1 << _LOW_BITS) - 1)
+    high = ones * ((1 << width - _LOW_BITS) - 1)
 
-    def pack(slots):
-        return sum(x % P << width * k for k, x in enumerate(slots))
+    def fold(x):
+        return (x & low) + _FOLD * (x >> _LOW_BITS & high)
 
-    live = [pack(row) for row in matrix]
+    live = [sum(x % P << width * k for k, x in enumerate(row)) for row in matrix]
     rank = 0
     for c in range(cols):
         if rank == rows:
@@ -98,8 +116,7 @@ def _rank_mod_p(matrix) -> int:
         if pivot is None:
             continue
         inverse = pow(factors.pop(pivot), -1, P)
-        rest = live.pop(pivot)
-        top = pack([(rest >> width * k & mask) * inverse for k in range(cols - c - 1)])
+        top = fold(fold(fold(fold(live.pop(pivot))) * inverse))
         live = [row + (P - f) * top if f else row for row, f in zip(live, factors)]
         rank += 1
     return rank
@@ -112,9 +129,14 @@ def rank(matrix) -> int:
     vanishes modulo P, and the rank modulo P is at most the rank over Q,
     which is at most min(rows, cols).  A full rank modulo P is therefore
     the exact rank; anything less falls back to Bareiss elimination over Z,
-    so the result never depends on the choice of P.
+    so the result never depends on the choice of P.  So does a matrix of
+    MAX_MOD_P_ROWS rows or more, more than the modular rank's folds cover.
+    Rows of unequal length are refused before any work.
     """
-    full = min(len(matrix), len(matrix[0]) if matrix else 0)
-    if _rank_mod_p(matrix) == full:
+    cols = len(matrix[0]) if matrix else 0
+    if any(len(row) != cols for row in matrix):
+        raise ValueError("the rows of a matrix must all have the same length")
+    full = min(len(matrix), cols)
+    if len(matrix) < MAX_MOD_P_ROWS and _rank_mod_p(matrix) == full:
         return full
     return bareiss_rank(matrix)

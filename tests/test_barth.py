@@ -20,7 +20,7 @@ from donaldson_cp2.barth import (
     sample_datum,
     verify_darboux,
 )
-from donaldson_cp2 import linalg
+from donaldson_cp2 import barth, linalg
 from donaldson_cp2.linalg import P, bareiss_det, bareiss_rank, clear_denominators, rank
 from donaldson_cp2.verify import multiplication_determinant
 
@@ -202,6 +202,57 @@ def test_concurrent_dual_lines_fall_back_to_bareiss(monkeypatch):
     assert calls == [10]
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_system_rank_of_136_nodes_needs_no_bareiss(monkeypatch, seed):
+    # n = 16 ranks 136 rows, so the rows.bit_length() term of the slot
+    # width is 8: the modular rank alone must certify full row rank
+    def no_bareiss(matrix):
+        raise AssertionError("Bareiss elimination ran")
+
+    monkeypatch.setattr(linalg, "_eliminate", no_bareiss)
+    assert darboux_system_dimension(sample_configuration(16, seed)) == 16
+
+
+def test_packed_rank_mod_p_of_130_rows_near_p():
+    # residues in [P - 2**10, P) make every product near P**2, and 130 rows
+    # let a slot take 129 elimination steps, past what a width without the
+    # rows.bit_length() term holds
+    rng = random.Random(29)
+    for rows, cols, deficient in ((130, 134, False), (134, 130, False), (131, 131, True)):
+        m = [[rng.randrange(P - 2**10, P) for _ in range(cols)] for _ in range(rows)]
+        if deficient:
+            # the last 20 rows combinations modulo P of two of the 20 rows
+            # before them, so that they vanish only after 100 or more
+            # elimination steps, when the slots are largest
+            for a in range(rows - 20, rows):
+                b, c = rng.sample(range(rows - 40, rows - 20), 2)
+                u, v = rng.randrange(P), rng.randrange(P)
+                m[a] = [(u * x + v * y) % P for x, y in zip(m[b], m[c])]
+        want = per_entry_rank_mod_p(m)
+        assert want == min(rows, cols) - 20 * deficient
+        assert linalg._rank_mod_p(m) == want
+
+
+@pytest.mark.parametrize("matrix", [[[1], [2, 3]], [[0, 0], [1]]], ids=("long", "short"))
+def test_rank_refuses_ragged_rows_before_any_work(monkeypatch, matrix):
+    def no_work(matrix):
+        raise AssertionError("elimination ran")
+
+    monkeypatch.setattr(linalg, "_rank_mod_p", no_work)
+    monkeypatch.setattr(linalg, "_eliminate", no_work)
+    with pytest.raises(ValueError, match="same length"):
+        rank(matrix)
+
+
+def test_rank_beyond_the_folded_rows_is_bareiss(monkeypatch):
+    # the modular rank's two folds cover fewer than MAX_MOD_P_ROWS rows
+    def no_mod_p(matrix):
+        raise AssertionError("the modular rank ran")
+
+    monkeypatch.setattr(linalg, "_rank_mod_p", no_mod_p)
+    assert rank([[1]] * linalg.MAX_MOD_P_ROWS) == 1
+
+
 def test_bareiss_det_against_fraction_elimination():
     rng = random.Random(11)
     kinds = set()
@@ -345,6 +396,41 @@ def test_darboux_system_dimension(n, expected):
     for seed in (0, 1):
         config = sample_configuration(n, seed=seed)
         assert darboux_system_dimension(config) == expected
+
+
+def test_one_witness_builds_each_node_row_once(monkeypatch):
+    calls = []
+    values = barth.monomial_values
+
+    def counted(degree, point):
+        calls.append(point)
+        return values(degree, point)
+
+    monkeypatch.setattr(barth, "monomial_values", counted)
+    barth._node_rows.cache_clear()
+    datum = sample_datum(7, 3)
+    assert verify_darboux(datum.config, barth_curve(datum))
+    assert darboux_system_dimension(datum.config) == 7
+    assert sorted(calls) == sorted(datum.config.nodes())  # 28 = n(n+1)/2 rows
+
+
+def test_node_rows_follow_the_configuration():
+    # two configurations of one n, checked alternately: a result read from
+    # the other configuration's matrix would flip an answer below
+    first, second = sample_datum(7, 1), sample_datum(7, 2)
+    curve = barth_curve(first)
+    assert any(curve.evaluate(node) for node in second.config.nodes())
+    for _ in range(2):
+        assert verify_darboux(first.config, curve)
+        assert not verify_darboux(second.config, curve)
+        assert verify_darboux(second.config, barth_curve(second))
+    # three concurrent dual lines drop the rank: dimension 6, not 4
+    concurrent = PlaneConfiguration(((0, 0, 1), (1, 0, 1), (2, 0, 1), (0, 1, 1), (3, 5, 1)))
+    generic = sample_configuration(4, 0)
+    for _ in range(2):
+        assert darboux_system_dimension(concurrent) == 6
+        assert darboux_system_dimension(generic) == 4
+    assert darboux_system_dimension(first.config) == 7
 
 
 def test_barth_curve_projective_equivariance():
