@@ -22,7 +22,8 @@ and (-N, 1-N):
   N | l+1, impossible for 0 < l+1 <= m < N; at l = 0 the first weight
   is -(a+1)N.
 Shifted frames (`chart_frames(shift)`) move only the line weights, so
-the proof holds for them too.  `_chart_table` still checks every weight.
+the proof holds for them too.  `_chart_table` still checks every weight,
+once per hook (a, l) in its table of tangent-weight products.
 
 The sum is taken per chart, not per fixed point.  A fixed point is a
 triple of partitions, one per chart of P^2, since a fixed subscheme is a
@@ -74,7 +75,7 @@ import random
 from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate, repeat
-from math import comb, gcd, lcm
+from math import comb, gcd, lcm, prod
 from operator import add, mul
 from time import perf_counter
 
@@ -89,8 +90,9 @@ class DegenerateSpecialization(ArithmeticError):
 
 SPAN = 64  # N is drawn from (m+1, m+1+SPAN]
 # the largest Hilb^m integrated: on a 2-core box, s_{2m}(E tensor L) at
-# both specializations took 2.6 s at m = 24 and 5.7 s at m = 26, and the
-# time about doubles for each step of 2
+# both specializations took 1.6-3.0 s at m = 24 (seven fresh processes,
+# the host's speed drifting) and, in an earlier sitting, 5.7 s at m = 26;
+# the time about doubles for each step of 2
 MAX_M = 24
 
 
@@ -161,28 +163,46 @@ def _shapes(m: int):
     """For each size 0..m, one entry per partition of that size:
     (parent, cell, hooks).  The partition is its parent (an index into the
     previous size's list) plus the cell (row, col) at the end of its last
-    row; hooks holds (arm, leg) of each of its cells, legs read off the
-    column heights.  The empty partition has parent and cell None.  Each
-    parent grows by a new row of one cell, and by one more cell in its last
-    row when that row stays no longer than the row above; removing the last
-    cell of the last row undoes exactly one of the two, so each partition
-    is listed once.  Built once per m and shared by every caller, hence
-    tuples throughout."""
-    shapes, level = [((None, None, ()),)], [()]
+    row; hooks holds (arm, leg) of each of its cells in row-major order.
+    The empty partition has parent and cell None.  Each parent grows by a
+    new row of one cell, and by one more cell in its last row when that
+    row stays no longer than the row above; removing the last cell of the
+    last row undoes exactly one of the two, so each partition is listed
+    once.
+
+    A child's hooks are its parent's with the new cell's effect: a new row
+    raises the leg of the first cell of every row, and the cell (r, c) at
+    the end of row r raises the arm of that row's c cells, the last c
+    entries, and the leg of the cell (i, c) of every earlier row, each of
+    which is longer than c.  Either way the new cell's hook (0, 0) comes
+    last.  Built once per m and shared by every caller, hence tuples
+    throughout."""
+    shapes, level = [((None, None, ()),)], [((), ())]
     for _ in range(m):
         by_size, next_level = [], []
-        for parent, parts in enumerate(level):
-            children = [parts + (1,)]
-            if parts and (len(parts) == 1 or parts[-1] < parts[-2]):
-                children.append(parts[:-1] + (parts[-1] + 1,))
-            for child in children:
-                last = len(child) - 1
-                heights = [sum(part > col for part in child) for col in range(child[0])]
-                by_size.append((parent, (last, child[last] - 1),
-                                tuple((part - col - 1, heights[col] - row - 1)
-                                      for row, part in enumerate(child)
-                                      for col in range(part))))
-            next_level += children
+        for parent, (parts, hooks) in enumerate(level):
+            rows = len(parts)
+            # the offset of each row's first cell
+            starts = list(accumulate(parts[:-1], initial=0)) if parts else []
+            child = list(hooks)
+            for start in starts:
+                arm, leg = child[start]
+                child[start] = (arm, leg + 1)
+            child.append((0, 0))
+            child = tuple(child)
+            by_size.append((parent, (rows, 0), child))
+            next_level.append((parts + (1,), child))
+            if parts and (rows == 1 or parts[-1] < parts[-2]):
+                c = parts[-1]
+                child = list(hooks[:-c])
+                for start in starts[:-1]:
+                    arm, leg = child[start + c]
+                    child[start + c] = (arm, leg + 1)
+                child += [(arm + 1, leg) for arm, leg in hooks[-c:]]
+                child.append((0, 0))
+                child = tuple(child)
+                by_size.append((parent, (rows - 1, c), child))
+                next_level.append((parts[:-1] + (c + 1,), child))
         shapes.append(tuple(by_size))
         level = next_level
     return tuple(shapes)
@@ -209,31 +229,38 @@ def _chart_table(shapes, frame, w1: int, w2: int, k: int):
     lowest terms: gcd(D, *H) = 1 and D > 0.
 
     euler_mu is the product of mu's tangent weights and e^mu its
-    E-weights.  h(e^mu) extends its parent's series by the one new cell,
-    and the partitions are summed over the lcm of their euler_mu before
-    the entry is reduced.  Raises DegenerateSpecialization if any tangent
-    weight vanishes.
+    E-weights.  A cell's two tangent weights depend on its hook alone, so
+    their product is read from one table over every (arm, leg) with
+    arm + leg <= m-1, m the largest size: the hook partition
+    (arm+1, 1^leg) has size arm + leg + 1 <= m, so the table holds exactly
+    the hooks that occur.  h(e^mu) extends its parent's series by the one
+    new cell, and the partitions are summed over the lcm of their euler_mu
+    before the entry is reduced.  Raises DegenerateSpecialization if any
+    tangent weight vanishes, before any series is built.
     """
     u, v, line = (a * w1 + b * w2 for a, b in frame)
+    m = len(shapes) - 1
+    weight = {}
+    for arm in range(m):
+        for leg in range(m - arm):
+            t1 = (arm + 1) * u - leg * v
+            t2 = (leg + 1) * v - arm * u
+            if t1 == 0 or t2 == 0:
+                raise DegenerateSpecialization(
+                    f"a tangent weight of the cell with arm {arm} and leg "
+                    f"{leg} vanishes at ({w1}, {w2})"
+                )
+            weight[arm, leg] = t1 * t2
     table, parent_hs = [], [[1] + [0] * k]
     for by_size in shapes[1:]:
         eulers, hs = [], []
         for parent, (row, col), hooks in by_size:
-            euler = 1
-            for arm, leg in hooks:
-                t1 = (arm + 1) * u - leg * v
-                t2 = (leg + 1) * v - arm * u
-                if t1 == 0 or t2 == 0:
-                    raise DegenerateSpecialization(
-                        f"a tangent weight of the cell with arm {arm} and leg "
-                        f"{leg} vanishes at ({w1}, {w2})"
-                    )
-                euler *= t1 * t2
             e = col * u + row * v - line
-            h = parent_hs[parent][:]
-            for j in range(1, k + 1):
-                h[j] += e * h[j - 1]
-            eulers.append(euler)
+            h, acc = [], 0
+            for x in parent_hs[parent]:
+                acc = x + e * acc
+                h.append(acc)
+            eulers.append(prod(map(weight.__getitem__, hooks)))
             hs.append(h)
         denom = lcm(*eulers)
         scales = [denom // euler for euler in eulers]
@@ -269,7 +296,9 @@ def fixed_point_sum(m: int, spec: Specialization, integrands,
     Hilb^m of lambda^i * s_k / euler, one value per integrand, computed
     chart by chart from chart tables built for Hilb^m up to the largest
     k.  The one entry point that takes frames; the others sum in
-    DEFAULT_FRAMES.  See `_chart_sum`."""
+    DEFAULT_FRAMES.  An m or integrand that `integrate` refuses is
+    refused here too, before any work.  See `_chart_sum`."""
+    integrands = _checked(m, integrands)
     k_max = max((integrand.k for integrand in integrands), default=0)
     shapes = _shapes(m)
     tables = [_chart_table(shapes, frame, spec.w1, spec.w2, k_max) for frame in frames]

@@ -227,6 +227,23 @@ def test_fixed_point_count_refuses_a_bad_m_before_any_work(monkeypatch, m, messa
         engine.fixed_point_count(m)
 
 
+@pytest.mark.parametrize("m, integrands, error, message", [
+    (-1, [IntegrandSpec(0, 0)], ValueError, "m must be nonnegative"),
+    (MAX_M + 1, [IntegrandSpec(0, 0)], ValueError,
+     f"at most MAX_M = {MAX_M}, got {MAX_M + 1}"),
+    (3, [IntegrandSpec(0, 6), IntegrandSpec(-1, 3)], ValueError,
+     "exponents must be nonnegative"),
+    (3, [IntegrandSpec(0, 7)], DegreeMismatch, r"exceeds dim Hilb\^3"),
+], ids=["negative_m", "above_cap", "negative_exponent", "degree_above_2m"])
+def test_fixed_point_sum_refuses_what_integrate_refuses_before_any_work(
+        monkeypatch, m, integrands, error, message):
+    forbid_work(monkeypatch)
+    with pytest.raises(error, match=message):
+        integrate_many(m, integrands)
+    with pytest.raises(error, match=message):
+        fixed_point_sum(m, Specialization(1, MAX_M + 2, seed=0), integrands)
+
+
 def test_frames_keyword_is_gone():
     # fixed_point_sum is the one entry point that takes frames
     with pytest.raises(TypeError):
@@ -273,6 +290,17 @@ def test_degenerate_examples_cover_both_outcomes():
             except DegenerateSpecialization:
                 outcomes.add(True)
     assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("m", [5, 6])
+def test_the_hook_weights_checked_are_the_hooks_of_size_at_most_m(m):
+    # chart 1 at (1, m-1): the hooks (m-2, 1) and (m-1, 0) each have a
+    # weight (m-1) - (m-1) = 0, and they first occur at size m, in the
+    # partitions (m-1, 1) and (m); no hook of a smaller partition vanishes
+    frame = DEFAULT_FRAMES[0]
+    with pytest.raises(DegenerateSpecialization):
+        engine._chart_table(engine._shapes(m), frame, 1, m - 1, 0)
+    assert len(engine._chart_table(engine._shapes(m - 1), frame, 1, m - 1, 0)) == m
 
 
 def test_no_tangent_weight_vanishes_at_any_drawable_n():
@@ -377,11 +405,15 @@ def test_values_are_ints():
     assert type(integrate(m, IntegrandSpec(0, 2 * m)).value) is int
     integrands = [IntegrandSpec(i, 2 * m - i) for i in range(2 * m + 1)]
     assert all(type(res.value) is int for res in integrate_many(m, integrands))
-    # above dim Hilb^m the sum is still an integer polynomial in (w1, w2)
+    # above dim Hilb^m the sum is still an integer polynomial in (w1, w2);
+    # fixed_point_sum refuses such an integrand, so sum the tables directly
     integrands.append(IntegrandSpec(3, 2 * m))
     for spec in specializations(m, 0) + (Specialization(5, -7, seed=0),):
-        assert all(type(value) is int
-                   for value in fixed_point_sum(m, spec, integrands))
+        tables = [engine._chart_table(engine._shapes(m), frame, spec.w1, spec.w2, 2 * m)
+                  for frame in DEFAULT_FRAMES]
+        values = engine._chart_sum(m, spec, tables, engine._pair_products(tables, m),
+                                   DEFAULT_FRAMES, integrands)
+        assert all(type(value) is int for value in values)
 
 
 def count_products(monkeypatch):

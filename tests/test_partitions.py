@@ -129,10 +129,12 @@ def test_cell_invariants_random_partitions():
             assert leg == heights[col] - row - 1
 
 
-@pytest.mark.parametrize("m", range(13))
+@pytest.mark.parametrize("m", range(17))
 def test_engine_shapes_list_every_partition_once_with_its_hooks(m):
     # rebuild each entry of the engine's listing from its parent chain and
-    # its cell, then compare with this module's independent enumeration
+    # its cell, then compare with this module's independent enumeration;
+    # the hooks must be in row-major order, the layout a child's hooks are
+    # derived from
     shapes = engine._shapes(m)
     assert len(shapes) == m + 1
     assert shapes[0] == ((None, None, ()),)
@@ -147,7 +149,7 @@ def test_engine_shapes_list_every_partition_once_with_its_hooks(m):
             assert col == parts[row]
             parts[row] += 1
             p = tuple(parts)
-            assert sorted(hooks) == sorted((arm, leg) for _, _, arm, leg in cells(p))
+            assert hooks == tuple((arm, leg) for _, _, arm, leg in cells(p))
             rebuilt.append(p)
         assert sorted(rebuilt) == sorted(enumerate_partitions(size))
         previous = rebuilt
