@@ -61,8 +61,10 @@ prefix for the same reason, so the products of chart 1's and chart 2's
 series, the same in every m with room for both sizes, are shared across
 the pass.  Each integral is a different linear functional on the same
 per-triple series, so the products with chart 3 and the Segre-basis sums
-of each degree are shared within an m, and every sum is one integer
-numerator over the common denominator of the triples.  `integrate_many`
+of each degree are shared within an m.  Those sums are taken term by
+term, each one dot product over all the triples at once, not triple by
+triple, and every sum is one integer numerator over the common
+denominator of the triples.  `integrate_many`
 is the pass over one m and `integrate` the one-integrand pass.
 
 Every value is an int: the fixed-point sum of an integral class on the
@@ -74,9 +76,8 @@ remainder, which only wrong weights leave, raises ArithmeticError.
 import random
 from collections import namedtuple
 from functools import lru_cache
-from itertools import accumulate, repeat
 from math import comb, gcd, lcm, prod
-from operator import add, mul
+from operator import mul
 from time import perf_counter
 
 
@@ -158,54 +159,60 @@ def specializations(m: int, seed: int) -> tuple[Specialization, Specialization]:
                  for n in random.Random(seed).sample(range(m + 2, m + 2 + SPAN), 2))
 
 
-@lru_cache(maxsize=None)
 def _shapes(m: int):
     """For each size 0..m, one entry per partition of that size:
     (parent, cell, hooks).  The partition is its parent (an index into the
     previous size's list) plus the cell (row, col) at the end of its last
     row; hooks holds (arm, leg) of each of its cells in row-major order.
-    The empty partition has parent and cell None.  Each parent grows by a
-    new row of one cell, and by one more cell in its last row when that
-    row stays no longer than the row above; removing the last cell of the
-    last row undoes exactly one of the two, so each partition is listed
-    once.
+    The empty partition has parent and cell None.  Each size is built once
+    per process, from the size before it (`_level`), whatever m comes
+    first, and shared by every caller, hence tuples throughout."""
+    return tuple(map(_level, range(m + 1)))
 
-    A child's hooks are its parent's with the new cell's effect: a new row
-    raises the leg of the first cell of every row, and the cell (r, c) at
-    the end of row r raises the arm of that row's c cells, the last c
-    entries, and the leg of the cell (i, c) of every earlier row, each of
-    which is longer than c.  Either way the new cell's hook (0, 0) comes
-    last.  Built once per m and shared by every caller, hence tuples
-    throughout."""
-    shapes, level = [((None, None, ()),)], [((), ())]
-    for _ in range(m):
-        by_size, next_level = [], []
-        for parent, (parts, hooks) in enumerate(level):
-            rows = len(parts)
-            # the offset of each row's first cell
-            starts = list(accumulate(parts[:-1], initial=0)) if parts else []
-            child = list(hooks)
-            for start in starts:
-                arm, leg = child[start]
-                child[start] = (arm, leg + 1)
+
+@lru_cache(maxsize=None)
+def _level(size: int):
+    """The entries of `_shapes` of one size, built from those of size-1.
+    Each parent grows by a new row of one cell, and by one more cell in its
+    last row when that row stays no longer than the row above; removing
+    the last cell of the last row undoes exactly one of the two, so each
+    partition is listed once.
+
+    The rows are read off the parent's row-major hooks: a row's length is
+    its first cell's arm + 1.  A child's hooks are its parent's with the
+    new cell's effect: a new row raises the leg of the first cell of every
+    row, and the cell (r, c) at the end of row r raises the arm of that
+    row's c cells, the last c entries, and the leg of the cell (i, c) of
+    every earlier row, each of which is longer than c.  Either way the new
+    cell's hook (0, 0) comes last."""
+    if size == 0:
+        return ((None, None, ()),)
+    by_size = []
+    for parent, (_, _, hooks) in enumerate(_level(size - 1)):
+        # the offset of each row's first cell
+        starts, start = [], 0
+        while start < len(hooks):
+            starts.append(start)
+            start += hooks[start][0] + 1
+        rows = len(starts)
+        child = list(hooks)
+        for start in starts:
+            arm, leg = child[start]
+            child[start] = (arm, leg + 1)
+        child.append((0, 0))
+        by_size.append((parent, (rows, 0), tuple(child)))
+        if not starts:
+            continue
+        c = len(hooks) - starts[-1]  # the last row's length
+        if rows == 1 or c < starts[-1] - starts[-2]:
+            child = list(hooks[:-c])
+            for start in starts[:-1]:
+                arm, leg = child[start + c]
+                child[start + c] = (arm, leg + 1)
+            child += [(arm + 1, leg) for arm, leg in hooks[-c:]]
             child.append((0, 0))
-            child = tuple(child)
-            by_size.append((parent, (rows, 0), child))
-            next_level.append((parts + (1,), child))
-            if parts and (rows == 1 or parts[-1] < parts[-2]):
-                c = parts[-1]
-                child = list(hooks[:-c])
-                for start in starts[:-1]:
-                    arm, leg = child[start + c]
-                    child[start + c] = (arm, leg + 1)
-                child += [(arm + 1, leg) for arm, leg in hooks[-c:]]
-                child.append((0, 0))
-                child = tuple(child)
-                by_size.append((parent, (rows - 1, c), child))
-                next_level.append((parts[:-1] + (c + 1,), child))
-        shapes.append(tuple(by_size))
-        level = next_level
-    return tuple(shapes)
+            by_size.append((parent, (rows - 1, c), tuple(child)))
+    return tuple(by_size)
 
 
 def _count_triples(counts, m: int) -> int:
@@ -322,10 +329,14 @@ def _chart_sum(m: int, spec: Specialization, tables, pairs, frames, integrands):
 
         lambda^i s_k = sum_l C(m-1+k, k-l) lambda^(i+k-l) h_l,
 
-    so for each degree d = i + k the pass accumulates
-    sum over triples of lambda^(d-l) * X_l, X the triple's product
-    series, for l up to the largest k of that degree, and each integral
-    is one binomial dot product with it.  All of it is integer: every
+    so for each degree d = i + k the pass needs
+    S_l = sum over triples of lambda^(d-l) * X_l, X the triple's product
+    series, for l up to the largest k of that degree, top, and each
+    integral is one binomial dot product with S.  The products are
+    transposed once into columns, term l of every triple, and each S_l
+    is one dot product of a column with a weight column: per triple, its
+    scale to the common denominator times lambda^(d-top) at l = top,
+    one more factor lambda per term below.  All of it is integer: every
     sum is one numerator over the common denominator of the triples,
     divided exactly at the end, one int per integrand.  Raises
     ArithmeticError on a remainder (the sum of an integral class is an
@@ -342,7 +353,6 @@ def _chart_sum(m: int, spec: Specialization, tables, pairs, frames, integrands):
     for integrand in integrands:
         d = integrand.i + integrand.k
         tops[d] = max(integrand.k, tops.get(d, 0))
-    d_max = max(tops, default=0)
     triples = []
     for a in range(m + 1):
         for b in range(m - a + 1):
@@ -355,13 +365,22 @@ def _chart_sum(m: int, spec: Specialization, tables, pairs, frames, integrands):
             triples.append((first[a][0] * second[b][0] * third[c][0], product,
                             a * lines[0] + b * lines[1] + c * lines[2]))
     denominator = lcm(*(den for den, _, _ in triples))
-    sums = {d: [0] * (top + 1) for d, top in tops.items()}
-    for den, product, lam in triples:
-        # scale * lam^j for j = 0..d_max
-        powers = list(accumulate(repeat(lam, d_max), mul,
-                                 initial=denominator // den))
-        for d, acc in sums.items():
-            sums[d] = list(map(add, acc, map(mul, powers[d::-1], product)))
+    scales = [denominator // den for den, _, _ in triples]
+    lams = [lam for _, _, lam in triples]
+    # columns[l]: term l of every triple's product
+    columns = list(zip(*(product for _, product, _ in triples)))
+    sums = {}
+    for d, top in tops.items():
+        # scale * lam^(d-l) per triple, from l = top down, one more power
+        # of lam per term
+        weights = (scales if d == top else
+                   [scale * lam ** (d - top) for scale, lam in zip(scales, lams)])
+        acc = [0] * (top + 1)
+        for l in range(top, -1, -1):
+            acc[l] = sum(map(mul, weights, columns[l]))
+            if l:
+                weights = list(map(mul, weights, lams))
+        sums[d] = acc
     values = []
     for integrand in integrands:
         k = integrand.k

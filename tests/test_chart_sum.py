@@ -167,6 +167,38 @@ def test_integrate_by_m_is_the_reference_table_at_every_m(frames_name):
         assert list(values) == [want[integrand] for integrand in every_integrand(m)], m
 
 
+@pytest.mark.parametrize("frames_name", sorted(FRAMES))
+def test_integrate_by_m_without_a_pure_segre_class_of_any_degree(frames_name):
+    # every integrand has i > 0, so each degree's largest k is below the
+    # degree and its sums start from lambda^(d - top), not lambda^0; some
+    # degrees are below 2m, and Hilb^4 asks for nothing
+    passes = {
+        2: [IntegrandSpec(1, 3), IntegrandSpec(2, 1), IntegrandSpec(3, 0)],
+        3: [IntegrandSpec(2, 4), IntegrandSpec(5, 1), IntegrandSpec(1, 3), IntegrandSpec(4, 0)],
+        4: [],
+        5: [IntegrandSpec(3, 7), IntegrandSpec(1, 9), IntegrandSpec(6, 2), IntegrandSpec(2, 5)],
+    }
+    for integrands in passes.values():
+        for integrand in integrands:
+            d = integrand.i + integrand.k
+            assert max(other.k for other in integrands if other.i + other.k == d) < d
+    specs = list(specializations(5, 11))
+    if frames_name == "default":
+        results = integrate_by_m(passes, seed=11)
+        assert results[4] == ()
+    for m, integrands in passes.items():
+        _, count, want = reference_run(m, frames_name)
+        if frames_name == "default":
+            assert [res.integrand for res in results[m]] == integrands
+            for res in results[m]:
+                assert (res.m, res.fixed_point_count) == (m, count)
+                assert [res.spec_used, res.cross_check_spec] == specs
+            values = [res.value for res in results[m]]
+        else:
+            values = seam_values(m, integrands, specs, frames_name)
+        assert list(values) == [want[integrand] for integrand in integrands], m
+
+
 def test_integrate_by_m_answers_each_m_as_alone():
     # the largest k comes from a smaller m, and Hilb^5 asks only for k = 0
     passes = {2: [IntegrandSpec(0, 4), IntegrandSpec(1, 3)], 5: [IntegrandSpec(10, 0)],

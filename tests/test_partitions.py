@@ -129,6 +129,18 @@ def test_cell_invariants_random_partitions():
             assert leg == heights[col] - row - 1
 
 
+def test_engine_shapes_are_the_same_in_any_call_order():
+    # each size is built from the one before it, once, so a listing must
+    # not depend on which m asked first
+    engine._level.cache_clear()
+    ascending = [engine._shapes(m) for m in range(13)]
+    engine._level.cache_clear()
+    descending = [engine._shapes(m) for m in reversed(range(13))][::-1]
+    assert ascending == descending
+    for m, shapes in enumerate(ascending):
+        assert shapes == ascending[-1][:m + 1]
+
+
 @pytest.mark.parametrize("m", range(17))
 def test_engine_shapes_list_every_partition_once_with_its_hooks(m):
     # rebuild each entry of the engine's listing from its parent chain and

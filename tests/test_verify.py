@@ -14,6 +14,15 @@ def test_run_checks_reports_each_check_with_its_time(monkeypatch):
         "PASS first (1.25 s): fine", "FAIL second (0.50 s): broken"]
 
 
+def test_fixed_point_counts_build_each_size_once():
+    # fixed_point_count(m) for m = 0..16 reads 17 listings, each a prefix
+    # of the last: size 0 and the 16 sizes above it are built once each
+    engine._level.cache_clear()
+    assert verify.check_fixed_point_counts()[0]
+    info = engine._level.cache_info()
+    assert (info.misses, info.currsize) == (17, 17)
+
+
 def test_vanishing_builds_chart_tables_once(monkeypatch):
     builds, shapes_built = [], []
     chart_table, shapes = engine._chart_table, engine._shapes
