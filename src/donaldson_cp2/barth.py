@@ -76,6 +76,8 @@ class PlaneConfiguration(_Checked, namedtuple("PlaneConfiguration", "points")):
 
     def __new__(cls, points):
         points = tuple(tuple(clear_denominators(p)) for p in points)
+        if not points:
+            raise ValueError("a configuration has at least one point")
         if any(len(p) != 3 or not any(p) for p in points):
             raise ValueError("a point of P^2 is a nonzero vector of three coordinates")
         return super().__new__(cls, points)
@@ -268,6 +270,8 @@ def darboux_system_dimension(config: PlaneConfiguration) -> int:
     through all nodes, by the exact rank of the node-evaluation matrix.
     The expected rank is full row rank, n(n+1)/2, which a rank modulo
     one prime certifies; only a configuration whose matrix loses rank
-    modulo that prime is ranked by Bareiss elimination over Z."""
-    rows = _node_rows(config)
-    return len(rows[0]) - 1 - rank(rows)
+    modulo that prime is ranked by Bareiss elimination over Z.  The
+    system has C(n+2, 2) monomials, counted here, not read off a row: one
+    point has no nodes, and its system is the one curve of degree 0."""
+    n = config.n
+    return (n + 1) * (n + 2) // 2 - 1 - rank(_node_rows(config))

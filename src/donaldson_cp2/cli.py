@@ -47,8 +47,10 @@ class _Scanner:
         return False
 
     def integer(self) -> int:
+        # ASCII digits only: str.isdigit also takes superscripts, which
+        # int() refuses, and other scripts' digits, which it reads
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in "0123456789":
             self.pos += 1
         if self.pos == start:
             raise ParseError(start, {"integer"})

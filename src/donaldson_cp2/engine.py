@@ -61,7 +61,9 @@ prefix for the same reason, so the products of chart 1's and chart 2's
 series, the same in every m with room for both sizes, are shared across
 the pass.  Each integral is a different linear functional on the same
 per-triple series, so the products with chart 3 and the Segre-basis sums
-of each degree are shared within an m.  Those sums are taken term by
+of each degree are shared within an m.  A series that meets several
+partners, chart 1's in the shared products and chart 3's within an m,
+is reversed once, prefix by prefix (`_prefixes`).  Those sums are taken term by
 term, each one dot product over all the triples at once, not triple by
 triple, and every sum is one integer numerator over the common
 denominator of the triples.  `integrate_many`
@@ -163,11 +165,17 @@ def _shapes(m: int):
     """For each size 0..m, one entry per partition of that size:
     (parent, cell, hooks).  The partition is its parent (an index into the
     previous size's list) plus the cell (row, col) at the end of its last
-    row; hooks holds (arm, leg) of each of its cells in row-major order.
-    The empty partition has parent and cell None.  Each size is built once
-    per process, from the size before it (`_level`), whatever m comes
-    first, and shared by every caller, hence tuples throughout."""
+    row; hooks holds one int per cell, in row-major order, the cell's
+    arm * _ARM + leg.  The empty partition has parent and cell None.  Each
+    size is built once per process, from the size before it (`_level`),
+    whatever m comes first, and shared by every caller, hence tuples
+    throughout."""
     return tuple(map(_level, range(m + 1)))
+
+
+# a hook's int is arm * _ARM + leg: a leg is at most MAX_M - 1, so the
+# hooks of the sizes `_level` accepts never share an int
+_ARM = MAX_M + 1
 
 
 @lru_cache(maxsize=None)
@@ -181,10 +189,13 @@ def _level(size: int):
     The rows are read off the parent's row-major hooks: a row's length is
     its first cell's arm + 1.  A child's hooks are its parent's with the
     new cell's effect: a new row raises the leg of the first cell of every
-    row, and the cell (r, c) at the end of row r raises the arm of that
-    row's c cells, the last c entries, and the leg of the cell (i, c) of
-    every earlier row, each of which is longer than c.  Either way the new
-    cell's hook (0, 0) comes last."""
+    row by 1, and the cell (r, c) at the end of row r raises the arm of
+    that row's c cells, the last c entries, by _ARM, and the leg of the
+    cell (i, c) of every earlier row, each of which is longer than c, by 1.
+    Either way the new cell's hook, 0, comes last.  Raises ValueError for a
+    size above MAX_M, whose legs could reach _ARM."""
+    if size > MAX_M:
+        raise ValueError(f"a partition size must be at most MAX_M = {MAX_M}, got {size}")
     if size == 0:
         return ((None, None, ()),)
     by_size = []
@@ -193,13 +204,12 @@ def _level(size: int):
         starts, start = [], 0
         while start < len(hooks):
             starts.append(start)
-            start += hooks[start][0] + 1
+            start += hooks[start] // _ARM + 1
         rows = len(starts)
         child = list(hooks)
         for start in starts:
-            arm, leg = child[start]
-            child[start] = (arm, leg + 1)
-        child.append((0, 0))
+            child[start] += 1
+        child.append(0)
         by_size.append((parent, (rows, 0), tuple(child)))
         if not starts:
             continue
@@ -207,10 +217,9 @@ def _level(size: int):
         if rows == 1 or c < starts[-1] - starts[-2]:
             child = list(hooks[:-c])
             for start in starts[:-1]:
-                arm, leg = child[start + c]
-                child[start + c] = (arm, leg + 1)
-            child += [(arm + 1, leg) for arm, leg in hooks[-c:]]
-            child.append((0, 0))
+                child[start + c] += 1
+            child += [hook + _ARM for hook in hooks[-c:]]
+            child.append(0)
             by_size.append((parent, (rows - 1, c), tuple(child)))
     return tuple(by_size)
 
@@ -237,17 +246,18 @@ def _chart_table(shapes, frame, w1: int, w2: int, k: int):
 
     euler_mu is the product of mu's tangent weights and e^mu its
     E-weights.  A cell's two tangent weights depend on its hook alone, so
-    their product is read from one table over every (arm, leg) with
-    arm + leg <= m-1, m the largest size: the hook partition
-    (arm+1, 1^leg) has size arm + leg + 1 <= m, so the table holds exactly
-    the hooks that occur.  h(e^mu) extends its parent's series by the one
-    new cell, and the partitions are summed over the lcm of their euler_mu
-    before the entry is reduced.  Raises DegenerateSpecialization if any
-    tangent weight vanishes, before any series is built.
+    their product is read from one list indexed by the hook's int, filled
+    for every (arm, leg) with arm + leg <= m-1, m the largest size: the
+    hook partition (arm+1, 1^leg) has size arm + leg + 1 <= m, so the list
+    holds exactly the hooks that occur, and None elsewhere.  h(e^mu)
+    extends its parent's series by the one new cell, and the partitions
+    are summed over the lcm of their euler_mu before the entry is reduced.
+    Raises DegenerateSpecialization if any tangent weight vanishes, before
+    any series is built.
     """
     u, v, line = (a * w1 + b * w2 for a, b in frame)
     m = len(shapes) - 1
-    weight = {}
+    weight = [None] * (m * _ARM)
     for arm in range(m):
         for leg in range(m - arm):
             t1 = (arm + 1) * u - leg * v
@@ -257,7 +267,7 @@ def _chart_table(shapes, frame, w1: int, w2: int, k: int):
                     f"a tangent weight of the cell with arm {arm} and leg "
                     f"{leg} vanishes at ({w1}, {w2})"
                 )
-            weight[arm, leg] = t1 * t2
+            weight[arm * _ARM + leg] = t1 * t2
     table, parent_hs = [], [[1] + [0] * k]
     for by_size in shapes[1:]:
         eulers, hs = [], []
@@ -278,23 +288,41 @@ def _chart_table(shapes, frame, w1: int, w2: int, k: int):
     return [(1, [1] + [0] * k)] + table
 
 
-def _convolve(p, q):
-    """The product of two series truncated to the length of p; q may be
-    longer.  q's first len(p) terms are reversed once, and term l is p
-    against the last l+1 of them: map stops at the shorter operand."""
-    n = len(p)
-    r = q[n - 1::-1]
-    return [sum(map(mul, p, r[n - 1 - l:])) for l in range(n)]
+def _prefixes(p):
+    """Every prefix of the series p, reversed: p[l::-1] for l = 0..len(p)-1,
+    the operand `_convolve` takes, built once per series that meets several
+    partners."""
+    return [p[l::-1] for l in range(len(p))]
+
+
+def _convolve(prefixes, q):
+    """The product of the series p and q truncated to the length of p,
+    from `_prefixes(p)`; q may be longer.  Term l is q against p's
+    reversed prefix of length l+1: map stops at the shorter operand."""
+    return [sum(map(mul, q, rev)) for rev in prefixes]
 
 
 def _pair_products(tables, m: int):
     """(a, b) -> chart 1's series of size a times chart 2's of size b, for
-    a, b >= 1 with a + b <= m, at the tables' length.  Truncated products
-    are exact on every prefix, as the entries are, so every Hilb^m of a
+    a, b >= 1 with a + b <= m, at the tables' length; each chart-1 series
+    is reversed once, for its m - a partners.  Truncated products are
+    exact on every prefix (see the module docstring), so every Hilb^m of a
     pass with tables built at m reads these same products."""
     first, second = tables[0], tables[1]
-    return {(a, b): _convolve(first[a][1], second[b][1])
-            for a in range(1, m) for b in range(1, m - a + 1)}
+    pairs = {}
+    for a in range(1, m):
+        prefixes = _prefixes(first[a][1])
+        for b in range(1, m - a + 1):
+            pairs[a, b] = _convolve(prefixes, second[b][1])
+    return pairs
+
+
+@lru_cache(maxsize=None)
+def _binomials(m: int, k: int) -> tuple[int, ...]:
+    """The Segre-basis row C(m-1+k, k-l) for l = 0..k, built once per
+    (m, k) per process; the last is written as 1 because comb(-1, 0)
+    raises at m = 0."""
+    return tuple(comb(m - 1 + k, k - l) for l in range(k)) + (1,)
 
 
 def fixed_point_sum(m: int, spec: Specialization, integrands,
@@ -322,23 +350,23 @@ def _chart_sum(m: int, spec: Specialization, tables, pairs, frames, integrands):
     when a and b are both nonempty, from the one nonempty series of the
     two otherwise, or from the empty chart's series 1, and costs one more
     product, truncated at the largest k, when c is nonempty and a or b
-    is too.  Longer series are read by their prefixes: H_l depends only
-    on H_0..H_(l-1), so the truncated series and products are still
-    exact.  The shift by lambda is taken once, at the end, in the Segre
-    basis:
+    is too; chart 3's series of size c is reversed once for all of its
+    partners.  Longer series are read by their prefixes, which stay exact
+    (see the module docstring).  The shift by lambda is taken once, at
+    the end, in the Segre basis:
 
         lambda^i s_k = sum_l C(m-1+k, k-l) lambda^(i+k-l) h_l,
 
     so for each degree d = i + k the pass needs
     S_l = sum over triples of lambda^(d-l) * X_l, X the triple's product
     series, for l up to the largest k of that degree, top, and each
-    integral is one binomial dot product with S.  The products are
-    transposed once into columns, term l of every triple, and each S_l
-    is one dot product of a column with a weight column: per triple, its
-    scale to the common denominator times lambda^(d-top) at l = top,
-    one more factor lambda per term below.  All of it is integer: every
-    sum is one numerator over the common denominator of the triples,
-    divided exactly at the end, one int per integrand.  Raises
+    integral is one dot product of S with its `_binomials` row.  The
+    products are transposed once into columns, term l of every triple,
+    and each S_l is one dot product of a column with a weight column: per
+    triple, its scale to the common denominator times lambda^(d-top) at
+    l = top, one more factor lambda per term below.  All of it is
+    integer: every sum is one numerator over the common denominator of
+    the triples, divided exactly at the end, one int per integrand.  Raises
     ArithmeticError on a remainder (the sum of an integral class is an
     integer); the tables raise DegenerateSpecialization exactly when some
     fixed point has a vanishing tangent weight.
@@ -346,7 +374,9 @@ def _chart_sum(m: int, spec: Specialization, tables, pairs, frames, integrands):
     w1, w2 = spec.w1, spec.w2
     k_max = max((integrand.k for integrand in integrands), default=0)
     first, second, third = tables
-    thirds = [h[:k_max + 1] for _, h in third[:m + 1]]
+    # chart 3's series of size c < m reversed once, for its m - c + 1
+    # partners; size m meets only the empty charts
+    rev_thirds = [None] + [_prefixes(h[:k_max + 1]) for _, h in third[1:m]]
     lines = [a * w1 + b * w2 for _, _, (a, b) in frames]
     # per degree d = i + k, the largest k: its sums run over l = 0..k
     tops = {}
@@ -361,7 +391,8 @@ def _chart_sum(m: int, spec: Specialization, tables, pairs, frames, integrands):
             # chart's entry 0 stands for both
             product = pairs[a, b] if a and b else first[a][1] if a else second[b][1]
             if c:
-                product = _convolve(thirds[c], product) if a or b else thirds[c]
+                product = (_convolve(rev_thirds[c], product) if a or b
+                           else third[c][1][:k_max + 1])
             triples.append((first[a][0] * second[b][0] * third[c][0], product,
                             a * lines[0] + b * lines[1] + c * lines[2]))
     denominator = lcm(*(den for den, _, _ in triples))
@@ -384,10 +415,7 @@ def _chart_sum(m: int, spec: Specialization, tables, pairs, frames, integrands):
     values = []
     for integrand in integrands:
         k = integrand.k
-        # C(m-1+k, k-l) for l = 0..k, the last written as 1 because
-        # comb(-1, 0) raises at m = 0
-        binomials = [comb(m - 1 + k, k - l) for l in range(k)] + [1]
-        value, remainder = divmod(sum(map(mul, binomials, sums[integrand.i + k])),
+        value, remainder = divmod(sum(map(mul, _binomials(m, k), sums[integrand.i + k])),
                                   denominator)
         if remainder:
             raise ArithmeticError(f"the sum of {integrand} at {spec} is not an integer")

@@ -398,6 +398,21 @@ def test_darboux_system_dimension(n, expected):
         assert darboux_system_dimension(config) == expected
 
 
+def test_one_point_has_a_system_of_dimension_zero():
+    # n = 0: no nodes, so the one curve of degree 0 passes through all of
+    # them, and the matrix has no row to read its column count from
+    config = PlaneConfiguration((UNIT_POINTS[0],))
+    assert config.n == 0 and config.nodes() == []
+    assert darboux_system_dimension(config) == 0
+
+
+def test_a_configuration_without_points_is_refused():
+    with pytest.raises(ValueError, match="at least one point"):
+        PlaneConfiguration(())
+    with pytest.raises(ValueError, match="at least one point"):
+        PlaneConfiguration(UNIT_POINTS)._replace(points=())
+
+
 def test_one_witness_builds_each_node_row_once(monkeypatch):
     calls = []
     values = barth.monomial_values

@@ -519,4 +519,13 @@ def test_convolve_is_the_product_truncated_to_p(n, extra):
     for _ in range(20):
         p = [rng.randint(-10**30, 10**30) for _ in range(n)]
         q = [rng.randint(-10**30, 10**30) for _ in range(n + extra)]
-        assert engine._convolve(p, q) == schoolbook(p, q)
+        assert engine._convolve(engine._prefixes(p), q) == schoolbook(p, q)
+
+
+def test_binomials_are_the_segre_basis_row():
+    # m = 0 admits only k = 0, whose row is (1,): comb(-1, 0) raises
+    assert engine._binomials(0, 0) == (1,)
+    for m in range(1, MAX_M + 1):
+        for k in range(2 * m + 1):
+            assert engine._binomials(m, k) == \
+                tuple(comb(m - 1 + k, k - l) for l in range(k + 1))

@@ -48,6 +48,17 @@ def test_parse_rejects_garbage_with_offset():
     assert err.value.expected == {"(E*L)"}
 
 
+@pytest.mark.parametrize("text, offset", [
+    ("s\u00b2(E*L)", 1),         # superscript two
+    ("s\u0661\u0662(E*L)", 1),  # Arabic-Indic one, two
+    ("c1(L)^\u00b3", 6),         # superscript three
+])
+def test_parse_takes_only_ascii_digits(text, offset):
+    with pytest.raises(ParseError) as err:
+        parse_integrand(text)
+    assert (err.value.offset, err.value.expected) == (offset, {"integer"})
+
+
 def test_parse_rejects_empty():
     with pytest.raises(ParseError):
         parse_integrand("")

@@ -161,7 +161,16 @@ def test_engine_shapes_list_every_partition_once_with_its_hooks(m):
             assert col == parts[row]
             parts[row] += 1
             p = tuple(parts)
-            assert hooks == tuple((arm, leg) for _, _, arm, leg in cells(p))
+            # each hook is the int arm * _ARM + leg
+            assert [divmod(hook, engine._ARM) for hook in hooks] == \
+                [(arm, leg) for _, _, arm, leg in cells(p)]
             rebuilt.append(p)
         assert sorted(rebuilt) == sorted(enumerate_partitions(size))
         previous = rebuilt
+
+
+def test_engine_refuses_a_partition_size_above_max_m():
+    # a leg of a larger size could reach _ARM, and two hooks share an int
+    with pytest.raises(ValueError, match="MAX_M"):
+        engine._level(engine.MAX_M + 1)
+    assert engine._level(engine.MAX_M)
