@@ -26,8 +26,9 @@ Point = tuple[int, int, int]
 COORD_RANGE = 30  # sampled coordinates lie in [-COORD_RANGE, COORD_RANGE]
 MAX_TRIES = 1000  # configurations drawn before sampling gives up
 # Largest n sampled.  Every seed tried succeeds up to n = 29, but one witness
-# takes 0.17-0.38 s at n = 24 and 0.7-1.4 s at n = 29 on a 2-core box, up to
-# 0.9 s of it redraws; the curve is 2-7 ms of it, incidence and rank the rest.
+# takes 0.11-0.16 s at n = 24 and 0.28-0.84 s at n = 29 on a 2-core box (seeds
+# 0-9), up to 0.57 s of it redraws; the curve is 2-6 ms of it, incidence and
+# rank the rest.
 MAX_N = 24
 
 
@@ -248,13 +249,27 @@ def barth_curve(datum: HulsbergenDatum) -> PlaneCurve:
     return PlaneCurve(datum.config.n, tuple(v // g for v in total))
 
 
+def _powers(coords, degree: int) -> list[tuple]:
+    """Powers 0..degree of every coordinate at once: entry k is the tuple
+    of the k-th powers."""
+    table = [(1,) * len(coords)]
+    for _ in range(degree):
+        table.append(tuple(map(mul, table[-1], coords)))
+    return table
+
+
 @lru_cache(maxsize=1)
 def _node_rows(config: PlaneConfiguration) -> tuple:
     """The node-evaluation matrix of the configuration: one row per node,
-    its degree-n monomials in monomials order.  A witness checks incidence
-    and ranks the system on the same configuration, so the last matrix
-    built is kept and shared by every caller, hence tuples throughout."""
-    return tuple(tuple(monomial_values(config.n, node)) for node in config.nodes())
+    its degree-n monomials in monomials order, the rows monomial_values
+    gives.  It is built by columns, each monomial at every node at once
+    from one power table per coordinate, and transposed.  A witness checks
+    incidence and ranks the system on the same configuration, so the last
+    matrix built is kept and shared by every caller, hence tuples
+    throughout."""
+    n, nodes = config.n, config.nodes()
+    x, y, z = (_powers([node[c] for node in nodes], n) for c in range(3))
+    return tuple(zip(*(map(mul, map(mul, x[i], y[j]), z[k]) for i, j, k in monomials(n))))
 
 
 def verify_darboux(config: PlaneConfiguration, curve: PlaneCurve) -> bool:

@@ -2,22 +2,24 @@
 elimination for determinants and ranks, and a rank certified modulo a
 prime that falls back to Bareiss when the certificate fails.
 
-The modular rank packs each row into one int, one slot per column, of
-width 2 * P.bit_length() + rows.bit_length() + 2 bits.  It scales the
-pivot row a whole row at a time with folds, fold(x) = (x & LOW) + 35 *
-(x >> 30 & HIGH), LOW and HIGH masking the low 30 and the high width - 30
-bits of every slot; a fold keeps each slot's class because 2**30 is 35
-modulo P.  Two folds before the multiply by the pivot's inverse and two
-after leave every slot of the scaled row below 2 * P, as long as there
-are fewer than 2**17 rows, so a slot stays below P + rows * 2 * P**2 and
-elimination never carries between slots."""
+The modular rank packs each row into one int, one 64-bit slot per
+column, with one struct.pack of the row's residues.  It scales the pivot
+row a whole row at a time with folds, fold(x) = (x & LOW) + 5 * (x >> 26
+& HIGH), LOW and HIGH masking the low 26 and the high 38 bits of every
+slot; a fold keeps each slot's class because 2**26 is 5 modulo P.  Two
+folds before the multiply by the pivot's inverse and two after leave
+every slot of the scaled row below 2 * P, and for fewer than 2**11 rows
+a slot stays below P + rows * 2 * P**2 < 2**64, so elimination never
+carries between slots."""
 
 from math import lcm
+from struct import Struct
 
-P = 2**30 - 35  # the largest prime below 2**30: a reduced entry is one CPython digit
-_LOW_BITS = P.bit_length()  # 30: the part of a slot a fold keeps in place
-_FOLD = 2**_LOW_BITS - P  # 35 = 2**30 modulo P: what a fold multiplies the rest by
-MAX_MOD_P_ROWS = 2**17  # two folds bring a slot below 2 * P for fewer rows than this
+P = 2**26 - 5  # the largest prime below 2**26: rows * 2 * P**2 fits a 64-bit slot
+_WIDTH = 64  # bits per slot, one struct "Q"
+_LOW_BITS = P.bit_length()  # 26: the part of a slot a fold keeps in place
+_FOLD = 2**_LOW_BITS - P  # 5 = 2**26 modulo P: what a fold multiplies the rest by
+MAX_MOD_P_ROWS = 2**11  # a slot stays below 2**64 for fewer rows than this
 
 
 def clear_denominators(row) -> list[int]:
@@ -77,41 +79,44 @@ def _rank_mod_p(matrix) -> int:
     """Rank of an integer matrix reduced modulo P, by Gaussian elimination
     over F_P on packed rows.
 
-    Each row is one int with a width-bit slot per column, column 0 in the
-    lowest slot.  Eliminating a row is one multiply-add on the whole row,
-    row + (P - f) * top, where f is the row's entry in the pivot column and
-    top the rest of the pivot row scaled by the pivot's inverse.  top is
-    fold(fold(fold(fold(rest)) * inverse)), where fold(x) = (x & LOW) +
-    35 * (x >> 30 & HIGH) replaces each slot s by (s mod 2**30) + 35 *
-    (s >> 30), the same class modulo P as 2**30 is 35 modulo P.  A slot
-    of rest is below 2**width.  For fewer than MAX_MOD_P_ROWS = 2**17
-    rows, which rank checks, two folds bring it below 2 * P, the multiply
-    below 2 * P**2 and two more folds below 2 * P again, and no slot ever
-    reaches 2**width.  A row takes at most one step per pivot, each adding
-    less than 2 * P**2 to a slot that started below P, so a slot stays
-    below P + rows * 2 * P**2 < 2**width: it never goes negative and never
-    carries into its neighbour.  A slot is reduced modulo P only when it
-    is read.  After each column every row drops its lowest slot, so the
-    pivot column is always the lowest.
+    Each row is one int with a 64-bit slot per column, column 0 in the
+    lowest slot, packed by one struct.pack of the row's residues modulo
+    P.  Eliminating a row is one multiply-add on the whole row, row + (P -
+    f) * top, where f is the row's entry in the pivot column and top the
+    rest of the pivot row scaled by the pivot's inverse.  top is
+    fold(fold(fold(fold(rest)) * inverse)), where fold(x) = (x & LOW) + 5
+    * (x >> 26 & HIGH) replaces each slot s by (s mod 2**26) + 5 * (s >>
+    26), the same class modulo P as 2**26 is 5 modulo P.  A slot of rest
+    is below 2**64; one fold brings it below 2**26 + 5 * 2**38 < 2**41 and
+    a second below 2**26 + 5 * 2**15 < 2 * P.  The multiply by inverse <
+    P leaves it below 2 * P**2 < 2**53, and two more folds bring it below
+    2**26 + 5 * 2**27 < 2**30 and then below 2**26 + 5 * 2**4 < 2 * P
+    again.  A row takes at most one step per other row, each adding less
+    than 2 * P**2 to a slot that started below P, so for fewer than
+    MAX_MOD_P_ROWS = 2**11 rows, which rank checks, a slot stays below P +
+    rows * 2 * P**2 < 2**64: it never goes negative and never carries into
+    its neighbour.  A slot is reduced modulo P only when it is read.
+    After each column every row drops its lowest slot, so the pivot column
+    is always the lowest.
     """
     rows = len(matrix)
     cols = len(matrix[0]) if matrix else 0
-    width = 2 * P.bit_length() + rows.bit_length() + 2
-    mask = (1 << width) - 1
-    ones = ((1 << width * cols) - 1) // mask  # a 1 in the lowest bit of every slot
+    mask = (1 << _WIDTH) - 1
+    ones = ((1 << _WIDTH * cols) - 1) // mask  # a 1 in the lowest bit of every slot
     low = ones * ((1 << _LOW_BITS) - 1)
-    high = ones * ((1 << width - _LOW_BITS) - 1)
+    high = ones * ((1 << _WIDTH - _LOW_BITS) - 1)
 
     def fold(x):
         return (x & low) + _FOLD * (x >> _LOW_BITS & high)
 
-    live = [sum(x % P << width * k for k, x in enumerate(row)) for row in matrix]
+    pack = Struct(f"<{cols}Q").pack
+    live = [int.from_bytes(pack(*map(P.__rmod__, row)), "little") for row in matrix]
     rank = 0
     for c in range(cols):
         if rank == rows:
             break
         factors = [(row & mask) % P for row in live]
-        live = [row >> width for row in live]
+        live = [row >> _WIDTH for row in live]
         pivot = next((j for j, f in enumerate(factors) if f), None)
         if pivot is None:
             continue
@@ -130,7 +135,7 @@ def rank(matrix) -> int:
     which is at most min(rows, cols).  A full rank modulo P is therefore
     the exact rank; anything less falls back to Bareiss elimination over Z,
     so the result never depends on the choice of P.  So does a matrix of
-    MAX_MOD_P_ROWS rows or more, more than the modular rank's folds cover.
+    MAX_MOD_P_ROWS rows or more, more than the modular rank's slots hold.
     Rows of unequal length are refused before any work.
     """
     cols = len(matrix[0]) if matrix else 0

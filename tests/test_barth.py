@@ -2,7 +2,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import isqrt, lcm
 from pathlib import Path
 
 import pytest
@@ -149,6 +149,10 @@ def test_packed_rank_mod_p_equals_per_entry_elimination():
         lambda: rng.randint(-P, -1),
         lambda: rng.randint(-3, 3) * P,
         lambda: rng.randint(-2**70, 2**70),
+        # wider than a 64-bit slot and of either sign, as exact node
+        # entries are (up to 74 bits at n = 7, 250 at n = 24): a slot
+        # takes only a reduced entry
+        lambda: rng.randint(-2**80, 2**80),
     ]
     shapes, deficient, largest = set(), 0, 0
     for trial in range(200):
@@ -204,8 +208,8 @@ def test_concurrent_dual_lines_fall_back_to_bareiss(monkeypatch):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_system_rank_of_136_nodes_needs_no_bareiss(monkeypatch, seed):
-    # n = 16 ranks 136 rows, so the rows.bit_length() term of the slot
-    # width is 8: the modular rank alone must certify full row rank
+    # n = 16 ranks 136 rows of 153 columns, entries of over 160 bits: the
+    # modular rank alone must certify full row rank
     def no_bareiss(matrix):
         raise AssertionError("Bareiss elimination ran")
 
@@ -213,10 +217,22 @@ def test_system_rank_of_136_nodes_needs_no_bareiss(monkeypatch, seed):
     assert darboux_system_dimension(sample_configuration(16, seed)) == 16
 
 
+def test_modular_rank_constants():
+    # P is the largest prime below 2**26, a fold multiplies by 2**26 modulo
+    # P, and a slot that takes an elimination step from every other row of
+    # the largest matrix the modular rank accepts still fits 64 bits
+    def prime(q):
+        return q > 1 and all(q % d for d in range(2, isqrt(q) + 1))
+
+    assert prime(P) and not any(map(prime, range(P + 1, 2**26)))
+    assert linalg._FOLD == 2**26 % P == 5
+    assert P + (linalg.MAX_MOD_P_ROWS - 1) * 2 * P**2 < 2**linalg._WIDTH == 2**64
+    assert P + 2 * linalg.MAX_MOD_P_ROWS * 2 * P**2 >= 2**64  # twice the rows would not
+
+
 def test_packed_rank_mod_p_of_130_rows_near_p():
     # residues in [P - 2**10, P) make every product near P**2, and 130 rows
-    # let a slot take 129 elimination steps, past what a width without the
-    # rows.bit_length() term holds
+    # let a slot take 129 elimination steps, each adding nearly 2 * P**2
     rng = random.Random(29)
     for rows, cols, deficient in ((130, 134, False), (134, 130, False), (131, 131, True)):
         m = [[rng.randrange(P - 2**10, P) for _ in range(cols)] for _ in range(rows)]
@@ -245,7 +261,7 @@ def test_rank_refuses_ragged_rows_before_any_work(monkeypatch, matrix):
 
 
 def test_rank_beyond_the_folded_rows_is_bareiss(monkeypatch):
-    # the modular rank's two folds cover fewer than MAX_MOD_P_ROWS rows
+    # the modular rank's 64-bit slots hold fewer than MAX_MOD_P_ROWS rows
     def no_mod_p(matrix):
         raise AssertionError("the modular rank ran")
 
@@ -413,20 +429,27 @@ def test_a_configuration_without_points_is_refused():
         PlaneConfiguration(UNIT_POINTS)._replace(points=())
 
 
-def test_one_witness_builds_each_node_row_once(monkeypatch):
-    calls = []
-    values = barth.monomial_values
-
-    def counted(degree, point):
-        calls.append(point)
-        return values(degree, point)
-
-    monkeypatch.setattr(barth, "monomial_values", counted)
+def test_one_witness_builds_each_node_row_once():
     barth._node_rows.cache_clear()
     datum = sample_datum(7, 3)
     assert verify_darboux(datum.config, barth_curve(datum))
     assert darboux_system_dimension(datum.config) == 7
-    assert sorted(calls) == sorted(datum.config.nodes())  # 28 = n(n+1)/2 rows
+    info = barth._node_rows.cache_info()
+    assert (info.misses, info.hits) == (1, 1)  # one matrix, read by both checks
+    rows = barth._node_rows(datum.config)
+    assert len(rows) == 28 and {len(row) for row in rows} == {36}  # n(n+1)/2 by C(n+2, 2)
+
+
+def test_node_rows_are_the_monomial_values_at_the_nodes():
+    # the matrix is built by columns; its rows must be monomial_values, node by node
+    configs = [PlaneConfiguration(((3, -2, 7),)),  # n = 0: no nodes
+               PlaneConfiguration(((3, -2, 7), (0, 5, -1)))]
+    configs += [sample_configuration(n, seed) for n in range(2, 13) for seed in range(4)]
+    for config in configs:
+        want = tuple(tuple(monomial_values(config.n, node)) for node in config.nodes())
+        got = barth._node_rows(config)
+        assert got == want
+        assert all(type(v) is int for row in got for v in row)
 
 
 def test_node_rows_follow_the_configuration():

@@ -414,3 +414,16 @@ def test_a_reader_that_closes_stdout_early_gets_no_traceback(argv):
         os.close(write_end)
     assert proc.stderr == ""
     assert proc.returncode == 1
+
+
+def test_python_m_runs_the_cli():
+    # `python -m donaldson_cp2` reaches cli.main from an uninstalled checkout
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "donaldson_cp2", "integrate", "--m", "3",
+                           "--expr", "c1(L)^3 * s3(E*L)"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "integral over H_3 = 8\n", "")
+    proc = subprocess.run([sys.executable, "-m", "donaldson_cp2", "--help"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stdout.startswith("usage: donaldson-cp2")
