@@ -16,7 +16,7 @@ import random
 from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate, combinations, repeat
-from math import gcd
+from math import gcd, prod
 from operator import mul
 
 from .linalg import clear_denominators, rank
@@ -26,9 +26,9 @@ Point = tuple[int, int, int]
 COORD_RANGE = 30  # sampled coordinates lie in [-COORD_RANGE, COORD_RANGE]
 MAX_TRIES = 1000  # configurations drawn before sampling gives up
 # Largest n sampled.  Every seed tried succeeds up to n = 29, but one witness
-# takes 0.11-0.16 s at n = 24 and 0.28-0.84 s at n = 29 on a 2-core box (seeds
-# 0-9), up to 0.57 s of it redraws; the curve is 2-6 ms of it, incidence and
-# rank the rest.
+# takes 0.10-0.12 s at n = 24 and 0.26-0.40 s at n = 29 on a 2-core box (seeds
+# 0-9), up to 0.21 s of it redraws; the curve is 0.8-1.7 ms of it, incidence
+# and rank the rest.
 MAX_N = 24
 
 
@@ -45,14 +45,6 @@ def _cross(p: Point, q: Point) -> Point:
         p[1] * q[2] - p[2] * q[1],
         p[2] * q[0] - p[0] * q[2],
         p[0] * q[1] - p[1] * q[0],
-    )
-
-
-def _det3(p: Point, q: Point, r: Point) -> int:
-    return (
-        p[0] * (q[1] * r[2] - q[2] * r[1])
-        - p[1] * (q[0] * r[2] - q[2] * r[0])
-        + p[2] * (q[0] * r[1] - q[1] * r[0])
     )
 
 
@@ -92,12 +84,20 @@ class PlaneConfiguration(_Checked, namedtuple("PlaneConfiguration", "points")):
         return [_cross(p, q) for p, q in combinations(self.points, 2)]
 
     def is_generic(self) -> bool:
-        for p, q in combinations(self.points, 2):
-            if all(c == 0 for c in _cross(p, q)):
-                return False  # projectively equal points
-        for p, q, r in combinations(self.points, 3):
-            if _det3(p, q, r) == 0:
-                return False  # three collinear points / concurrent dual lines
+        """True iff no two points are projectively equal and no three are
+        collinear, so that no three dual lines are concurrent.  One cross
+        product per pair p < q decides both: it is zero exactly when p and
+        q name the same point, and its dot product with each later point r
+        is det(p, q, r)."""
+        points = self.points
+        for i, p in enumerate(points):
+            for j in range(i + 1, len(points)):
+                a, b, c = _cross(p, points[j])
+                if not (a or b or c):
+                    return False  # projectively equal points
+                for x, y, z in points[j + 1:]:
+                    if a * x + b * y + c * z == 0:
+                        return False  # three collinear points / concurrent dual lines
         return True
 
 
@@ -184,23 +184,6 @@ def sample_datum(n: int, seed: int) -> HulsbergenDatum:
             return HulsbergenDatum(config, ext)
 
 
-def _times_linear(form, degree: int, line) -> list:
-    """A form of the given degree times a linear form, as coefficient
-    lists in monomials order; the empty list is the zero form of degree
-    -1.  A monomial's place depends only on its x1 and x2 exponents: x0
-    keeps it, and x1 and x2 move it from the block of x1 + x2 degree e
-    into block e + 1."""
-    a, b, c = line
-    out = [a * v for v in form] + [0] * (degree + 2)
-    start = 0
-    for e in range(degree + 1):
-        for idx in range(start, start + e + 1):
-            out[idx + e + 1] += b * form[idx]
-            out[idx + e + 2] += c * form[idx]
-        start += e + 1
-    return out
-
-
 def barth_curve(datum: HulsbergenDatum) -> PlaneCurve:
     """The degree-n determinantal curve of the datum.
 
@@ -231,22 +214,57 @@ def barth_curve(datum: HulsbergenDatum) -> PlaneCurve:
 
     made primitive with a positive leading coefficient; no determinant is
     taken.
+
+    The sum is swept over the points with every form held as one int, a
+    Kronecker substitution: the coefficient of x0^i x1^j x2^k sits in the
+    signed slot j + (n+1) k, W bits wide, so that multiplying by
+    ell = (a, b, c) is a F + (b F << W) + (c F << W (n+1)).  Each
+    coefficient of a product of linear forms is at most the product of
+    their l1 norms, so every coefficient of every partial product is at
+    most prod_i ||z_i||_1, and every coefficient of every partial sum at
+    most sum_j |ext_j f_j| times that.  W is that bound's bit length plus
+    a sign bit, so each slot holds its coefficient in [-2^(W-1), 2^(W-1)).
+    The int arithmetic is exact for any W; the width matters only when
+    the slots are read back, after 2^(W-1) is added to each of them.
     """
+    n, points = datum.config.n, datum.config.points
+    weights = [e * next(c for c in p if c != 0) for e, p in zip(datum.extension, points)]
+    bound = sum(map(abs, weights)) * prod(abs(a) + abs(b) + abs(c) for a, b, c in points)
+    width = bound.bit_length() + 1
+    row = width * (n + 1)  # the shift that raises the x2 exponent by one
+
+    def times(form, line):
+        a, b, c = line
+        return a * form + (b * form << width) + (c * form << row)
+
     # one sweep: after point j, total is the sum above restricted to the
-    # points 0..j, and product is prod_{i <= j} ell(z_i)
-    total, product = [], [1]
-    for j, (e, point) in enumerate(zip(datum.extension, datum.config.points)):
-        weight = e * next(c for c in point if c != 0)
-        total = [t + weight * c
-                 for t, c in zip(_times_linear(total, j - 1, point), product)]
-        product = _times_linear(product, j, point)
-    if not any(total):
+    # points 0..j, and product is prod_{i <= j} ell(z_i); the last product,
+    # of degree n + 1, is never read
+    total, product = 0, 1
+    for weight, point in zip(weights, points):
+        total = times(total, point) + weight * product
+        product = times(product, point)
+    if not total:
         raise DegenerateDatum("determinant vanishes identically")
 
+    # read back: with half added to every slot, each slot holds its
+    # coefficient plus half, in [0, 2^W); ones, a 1 in every slot, is
+    # (2^(W slots) - 1) / (2^W - 1), an exact division
+    half = 1 << width - 1
+    slots = (n + 1) ** 2
+    ones = ((1 << width * slots) - 1) // ((1 << width) - 1)
+    biased = total + half * ones
+    rows = [biased >> row * k & (1 << row) - 1 for k in range(n + 1)]
+    mask = (1 << width) - 1
+    # monomials order: x1 + x2 degree e ascending, then the x1 exponent j
+    # descending, so the x2 exponent is e - j
+    coefficients = [(rows[e - j] >> width * j & mask) - half
+                    for e in range(n + 1) for j in range(e, -1, -1)]
+
     # primitive, with a positive leading coefficient
-    lead = next(v for v in total if v != 0)
-    g = gcd(*total) if lead > 0 else -gcd(*total)
-    return PlaneCurve(datum.config.n, tuple(v // g for v in total))
+    lead = next(v for v in coefficients if v != 0)
+    g = gcd(*coefficients) if lead > 0 else -gcd(*coefficients)
+    return PlaneCurve(n, tuple(v // g for v in coefficients))
 
 
 def _powers(coords, degree: int) -> list[tuple]:

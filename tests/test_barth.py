@@ -2,7 +2,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from pathlib import Path
 
 import pytest
@@ -546,6 +546,105 @@ def test_barth_curve_matches_pinned_curves():
         for seed, coefficients in by_seed.items():
             curve = barth_curve(sample_datum(int(n), int(seed)))
             assert list(curve.coefficients) == coefficients, (n, seed)
+
+
+def times_linear(form, degree, line):
+    """A degree-d form times a linear form, coefficient lists in monomials
+    order, one coefficient at a time; [] is the zero form of degree -1."""
+    a, b, c = line
+    out = [a * v for v in form] + [0] * (degree + 2)
+    start = 0
+    for e in range(degree + 1):
+        for idx in range(start, start + e + 1):
+            out[idx + e + 1] += b * form[idx]
+            out[idx + e + 2] += c * form[idx]
+        start += e + 1
+    return out
+
+
+def list_sweep_curve(datum):
+    """barth_curve's sum, sum_j ext_j f_j prod_{i != j} ell(z_i), swept over
+    the points with every form a coefficient list, made primitive with a
+    positive leading coefficient."""
+    total, product = [], [1]
+    for j, (e, point) in enumerate(zip(datum.extension, datum.config.points)):
+        weight = e * next(c for c in point if c != 0)
+        total = [t + weight * c
+                 for t, c in zip(times_linear(total, j - 1, point), product)]
+        product = times_linear(product, j, point)
+    if not any(total):
+        raise DegenerateDatum("determinant vanishes identically")
+    sign = 1 if next(v for v in total if v != 0) > 0 else -1
+    g = sign * gcd(*total)
+    return PlaneCurve(datum.config.n, tuple(v // g for v in total))
+
+
+def random_datum(rng, n, coordinate, extension=lambda rng: rng.randint(-9, 9)):
+    """n+1 random nonzero points with coordinates in [-coordinate,
+    coordinate] and a random nonzero extension, generic or not."""
+    points = []
+    while len(points) < n + 1:
+        point = tuple(rng.randint(-coordinate, coordinate) for _ in range(3))
+        if any(point):
+            points.append(point)
+    ext = [extension(rng) for _ in range(n + 1)]
+    if not any(ext):
+        ext[rng.randrange(n + 1)] = 1
+    return HulsbergenDatum(PlaneConfiguration(points), ext)
+
+
+@pytest.mark.parametrize("n", range(25))
+def test_barth_curve_is_the_list_sweep(n):
+    rng = random.Random(2800 + n)
+    data = [random_datum(rng, n, 30) for _ in range(4)]
+    if n >= 2:
+        data += [sample_datum(n, seed) for seed in range(3)]
+    for datum in data:
+        assert barth_curve(datum) == list_sweep_curve(datum), datum
+
+
+@pytest.mark.parametrize("n", (0, 1, 2, 5, 9, 16, 24))
+def test_barth_curve_is_the_list_sweep_on_wide_data(n):
+    # coordinates up to 10^6 and a rational extension, which the datum
+    # scales to integers: wide slots, with signs in every place
+    rng = random.Random(2900 + n)
+    for _ in range(3):
+        datum = random_datum(rng, n, 10 ** 6,
+                             lambda rng: Fraction(rng.randint(-10 ** 6, 10 ** 6),
+                                                  rng.randint(1, 97)))
+        assert barth_curve(datum) == list_sweep_curve(datum), datum
+
+
+@pytest.mark.parametrize("points", (8, 16))
+def test_barth_curve_at_the_slot_bound(points):
+    # n+1 copies of (1, 0, 0) with every ext_j = 1: every weight and every
+    # l1 norm is 1, so the bound on the coefficients is n+1, and the sum is
+    # (n+1) x0^n, whose one coefficient reaches that bound exactly
+    n = points - 1
+    datum = HulsbergenDatum(PlaneConfiguration(((1, 0, 0),) * points), (1,) * points)
+    curve = barth_curve(datum)
+    assert curve == list_sweep_curve(datum)
+    assert curve.coefficients == (1,) + (0,) * ((n + 1) * (n + 2) // 2 - 1)
+
+
+def test_is_generic_is_every_pair_and_every_triple():
+    # small coordinates, so that repeated, proportional and collinear
+    # points all occur
+    rng = random.Random(28)
+    seen = {"generic": 0, "repeated": 0, "proportional": 0, "collinear": 0}
+    for _ in range(3000):
+        config = random_datum(rng, rng.randint(2, 6), 3).config
+        points = config.points
+        equal = [(p, q) for p, q in combinations(points, 2)
+                 if p[1] * q[2] - p[2] * q[1] == p[2] * q[0] - p[0] * q[2]
+                 == p[0] * q[1] - p[1] * q[0] == 0]
+        collinear = any(det3(p, q, r) == 0 for p, q, r in combinations(points, 3))
+        assert config.is_generic() == (not equal and not collinear), points
+        seen["repeated"] += any(p == q for p, q in equal)
+        seen["proportional"] += any(p != q for p, q in equal)
+        seen["collinear"] += collinear and not equal
+        seen["generic"] += not equal and not collinear
+    assert all(count > 50 for count in seen.values()), seen
 
 
 @pytest.mark.parametrize("n", (2, 4, 6))
