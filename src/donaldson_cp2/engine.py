@@ -69,13 +69,24 @@ triple, and every sum is one integer numerator over the common
 denominator of the triples.  `integrate_many`
 is the pass over one m and `integrate` the one-integrand pass.
 
+The two specializations of a pass share no chart table, so a pass whose
+work pays for a fork (`FORK_WORK`) runs the cross-check specialization's
+tables, pair products and sums in a forked child, which sends each m's
+values back over a pipe with marshal, while this process does the same
+for the first specialization and compares the two per m.  A pass that
+cannot fork, or whose child fails, computes the cross-check in this
+process, so every error keeps its type and message.
+
 Every value is an int: the fixed-point sum of an integral class on the
 smooth projective Hilb^m(P^2) is its equivariant integral, a polynomial
 in (w1, w2) with integer coefficients.  The pass divides exactly, and a
 remainder, which only wrong weights leave, raises ArithmeticError.
 """
 
+import marshal
+import os
 import random
+import sys
 from collections import namedtuple
 from functools import lru_cache
 from math import comb, gcd, lcm, prod
@@ -93,10 +104,19 @@ class DegenerateSpecialization(ArithmeticError):
 
 SPAN = 64  # N is drawn from (m+1, m+1+SPAN]
 # the largest Hilb^m integrated: on a 2-core box, s_{2m}(E tensor L) at
-# both specializations took 1.6-3.0 s at m = 24 (seven fresh processes,
-# the host's speed drifting) and, in an earlier sitting, 5.7 s at m = 26;
-# the time about doubles for each step of 2
+# both specializations took 0.85-1.2 s at m = 24 with the cross-check
+# forked and 1.5-1.8 s in one process (five fresh processes each) and, in
+# an earlier sitting, 5.7 s at m = 26 in one process; the time about
+# doubles for each step of 2
 MAX_M = 24
+# a pass forks its cross-check when its work estimate,
+# fixed_point_count(m_top) * (k_top + 1), reaches this.  The fork costs
+# about 2 ms: on a 2-core box (medians of 30 fresh processes) a forked
+# pass took 4.5 ms where one process took 2.5 ms at m = 10, k = 0 (work
+# 2640), 5.6 against 4.8 ms at m = 12, k = 0 (7868), 6.0 against 6.4 ms
+# at m = 10, k = 10 (29 040) and 10.4 against 12.7 ms at m = 10, k = 20
+# (55 440)
+FORK_WORK = 30_000
 
 
 def chart_frames(shift=(0, 0)):
@@ -353,18 +373,14 @@ def _chart_sum(m: int, spec: Specialization, tables, pairs, frames, integrands):
     is too; chart 3's series of size c is reversed once for all of its
     partners.  Longer series are read by their prefixes, which stay exact
     (see the module docstring).  The shift by lambda is taken once, at
-    the end, in the Segre basis:
-
-        lambda^i s_k = sum_l C(m-1+k, k-l) lambda^(i+k-l) h_l,
-
-    so for each degree d = i + k the pass needs
-    S_l = sum over triples of lambda^(d-l) * X_l, X the triple's product
-    series, for l up to the largest k of that degree, top, and each
-    integral is one dot product of S with its `_binomials` row.  The
-    products are transposed once into columns, term l of every triple,
-    and each S_l is one dot product of a column with a weight column: per
-    triple, its scale to the common denominator times lambda^(d-top) at
-    l = top, one more factor lambda per term below.  All of it is
+    the end, by the Segre-basis sum of the module docstring: for each
+    degree d = i + k, S_l = sum over triples of lambda^(d-l) * X_l, X the
+    triple's product series, for l up to the largest k of that degree,
+    top, and each integral is one dot product of S with its `_binomials`
+    row.  The products are transposed once into columns, term l of every
+    triple, and each S_l is one dot product of a column with a weight
+    column: per triple, its scale to the common denominator times
+    lambda^(d-top) at l = top, one more factor lambda per term below.  All of it is
     integer: every sum is one numerator over the common denominator of
     the triples, divided exactly at the end, one int per integrand.  Raises
     ArithmeticError on a remainder (the sum of an integral class is an
@@ -440,6 +456,86 @@ def _checked(m: int, integrands) -> tuple[IntegrandSpec, ...]:
     return integrands
 
 
+def _pass_values(shapes, spec: Specialization, k_top: int, passes, order):
+    """Each m's values at spec, for the m of passes in order: one set of
+    chart tables and pair products, built at m_top = len(shapes) - 1 and
+    k_top, serves every m."""
+    tables = [_chart_table(shapes, frame, spec.w1, spec.w2, k_top)
+              for frame in DEFAULT_FRAMES]
+    pairs = _pair_products(tables, len(shapes) - 1)
+    for m in order:
+        yield _chart_sum(m, spec, tables, pairs, DEFAULT_FRAMES, passes[m])
+
+
+def _may_fork() -> bool:
+    """Whether a fork can run beside this process: os.fork exists, the
+    process may run on two CPUs or more, and it runs one thread (a fork
+    with threads can deadlock the child, and Python 3.12 warns on it)."""
+    if not hasattr(os, "fork"):
+        return False
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    threading = sys.modules.get("threading")
+    return cpus >= 2 and (threading is None or threading.active_count() == 1)
+
+
+def _fork(values):
+    """(pid, read end) of a forked child that sends list(values) back
+    over a pipe with marshal and always leaves by os._exit, so that it
+    runs no cleanup and flushes no buffer of this process; None when the
+    pipe or the fork fails."""
+    try:
+        read_end, write_end = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            with open(write_end, "wb") as pipe:
+                pipe.write(marshal.dumps(list(values)))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    return pid, read_end
+
+
+def _received(pid: int, read_end: int):
+    """The list the child sent; None when the read fails, the child exits
+    nonzero or its data is short.  The child is reaped, and killed first
+    unless the read came to the end of the pipe, before this returns or
+    raises."""
+    data = None
+    try:
+        with open(read_end, "rb") as pipe:
+            data = pipe.read()
+    except OSError:
+        pass
+    finally:
+        if data is None:
+            _kill(pid)
+        status = os.waitpid(pid, 0)[1]
+    if status == 0:
+        try:
+            return marshal.loads(data)
+        except (EOFError, ValueError):
+            pass
+    return None
+
+
+def _kill(pid: int):
+    import signal
+
+    os.kill(pid, signal.SIGKILL)
+
+
 def integrate_by_m(passes, *, seed: int = 0) -> dict[int, tuple[IntegralResult, ...]]:
     """Integrate, for each m of passes, every c1(L)^i * s_k(E tensor L)
     in passes[m] over Hilb^m(P^2) exactly, in one pass: one set of chart
@@ -450,12 +546,21 @@ def integrate_by_m(passes, *, seed: int = 0) -> dict[int, tuple[IntegralResult, 
     by degree reasons, which the summation confirms.  Every m and every
     integrand is checked, and an m above MAX_M refused, before any work.
     The sums are evaluated at the two `specializations(m_top, seed)`, m_top
-    the largest m, where the tables are built up to the largest k, and
-    each m's values must agree across them.  Returns m -> one result per
-    integrand, in order.  Each result's elapsed_s is the time of its m's
-    own sums and cross-check; m_top is charged the shared shapes, tables
-    and pair products too, so the times of the m add up to no more than
-    the call.
+    the largest m, where the tables are built up to the largest k, k_top,
+    and each m's values must agree across them.  Returns m -> one result
+    per integrand, in order.
+
+    When fixed_point_count(m_top) * (k_top + 1) reaches FORK_WORK and
+    `_may_fork`, the cross-check specialization runs in a forked child,
+    from the shapes built here, beside this process's work on the first;
+    the child is reaped before the call returns or raises.  Otherwise, or
+    if the child fails, the cross-check runs here, m by m.
+
+    Each result's elapsed_s is the wall time of its m's own sums and
+    cross-check in this process; m_top is charged the shared shapes, the
+    first specialization's tables and pair products, and, for a forked
+    pass, the wait for the child, so the times of the m add up to no more
+    than the call.  The child's CPU time is not counted.
     """
     passes = {m: _checked(m, integrands) for m, integrands in passes.items()}
     if not passes:
@@ -467,28 +572,40 @@ def integrate_by_m(passes, *, seed: int = 0) -> dict[int, tuple[IntegralResult, 
     shapes = _shapes(m_top)
     counts = [len(by_size) for by_size in shapes]
     specs = specializations(m_top, seed)
-    tables = [[_chart_table(shapes, frame, spec.w1, spec.w2, k_top)
-               for frame in DEFAULT_FRAMES] for spec in specs]
-    pairs = [_pair_products(spec_tables, m_top) for spec_tables in tables]
-    results = {}
     # m_top goes first, so that its clock runs over the shared work too
-    for m in sorted(passes, key=lambda m: m != m_top):
-        integrands = passes[m]
-        values, check_values = (
-            _chart_sum(m, spec, spec_tables, spec_pairs, DEFAULT_FRAMES, integrands)
-            for spec, spec_tables, spec_pairs in zip(specs, tables, pairs))
-        for integrand, value, check_value in zip(integrands, values, check_values):
-            if value != check_value:
-                raise ArithmeticError(
-                    f"specialization cross-check failed for {integrand} on "
-                    f"Hilb^{m}: {value} != {check_value}"
-                )
-        t1 = perf_counter()
-        fixed_points = _count_triples(counts, m)
-        results[m] = tuple(IntegralResult(value, m, integrand, *specs,
-                                          fixed_points, t1 - t0)
-                           for integrand, value in zip(integrands, values))
-        t0 = t1
+    order = sorted(passes, key=lambda m: m != m_top)
+    # a generator, started in the child or here but never in both
+    checks = _pass_values(shapes, specs[1], k_top, passes, order)
+    child = (_fork(checks) if _count_triples(counts, m_top) * (k_top + 1) >= FORK_WORK
+             and _may_fork() else None)
+    results = {}
+    try:
+        for m, values in zip(order, _pass_values(shapes, specs[0], k_top, passes, order)):
+            if child is not None:
+                # _received reaps the child whether it returns or raises
+                pid, read_end = child
+                child = None
+                received = _received(pid, read_end)
+                if received is not None:
+                    checks = iter(received)
+            for integrand, value, check_value in zip(passes[m], values, next(checks)):
+                if value != check_value:
+                    raise ArithmeticError(
+                        f"specialization cross-check failed for {integrand} on "
+                        f"Hilb^{m}: {value} != {check_value}"
+                    )
+            t1 = perf_counter()
+            fixed_points = _count_triples(counts, m)
+            results[m] = tuple(IntegralResult(value, m, integrand, *specs,
+                                              fixed_points, t1 - t0)
+                               for integrand, value in zip(passes[m], values))
+            t0 = t1
+    finally:
+        if child is not None:
+            pid, read_end = child
+            _kill(pid)
+            os.close(read_end)
+            os.waitpid(pid, 0)
     return {m: results[m] for m in passes}
 
 
