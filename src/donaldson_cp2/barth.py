@@ -15,7 +15,7 @@ is computed over the integers.
 import random
 from collections import namedtuple
 from functools import lru_cache
-from itertools import accumulate, combinations, repeat
+from itertools import combinations
 from math import gcd, prod
 from operator import mul
 
@@ -127,12 +127,9 @@ def monomials(degree: int) -> list[tuple[int, int, int]]:
 
 
 def monomial_values(degree: int, point) -> list:
-    """Every degree-d monomial at a point, in monomials order, from one
-    power table per coordinate; exact, an int at an integer point and a
-    rational at a rational one (c ** 0 keeps each coordinate's type)."""
-    x, y, z = (list(accumulate(repeat(c, degree), mul, initial=c ** 0)) for c in point)
-    return [x[i] * y[j] * z[degree - i - j]
-            for i in range(degree, -1, -1) for j in range(degree - i, -1, -1)]
+    """Every degree-d monomial at a point, in monomials order: row 0 of
+    `_monomial_rows` at that point alone."""
+    return list(_monomial_rows(degree, [point])[0])
 
 
 class PlaneCurve(_Checked, namedtuple("PlaneCurve", "degree coefficients")):
@@ -269,25 +266,29 @@ def barth_curve(datum: HulsbergenDatum) -> PlaneCurve:
 
 def _powers(coords, degree: int) -> list[tuple]:
     """Powers 0..degree of every coordinate at once: entry k is the tuple
-    of the k-th powers."""
-    table = [(1,) * len(coords)]
+    of the k-th powers, from c ** 0, which keeps each coordinate's type."""
+    table = [tuple(c ** 0 for c in coords)]
     for _ in range(degree):
         table.append(tuple(map(mul, table[-1], coords)))
     return table
 
 
+def _monomial_rows(degree: int, points) -> tuple:
+    """One row per point, its degree-d monomials in monomials order,
+    exact: built by columns, each monomial at every point at once from one
+    `_powers` table per coordinate, and transposed."""
+    x, y, z = (_powers([point[c] for point in points], degree) for c in range(3))
+    return tuple(zip(*(map(mul, map(mul, x[i], y[j]), z[k])
+                       for i, j, k in monomials(degree))))
+
+
 @lru_cache(maxsize=1)
 def _node_rows(config: PlaneConfiguration) -> tuple:
-    """The node-evaluation matrix of the configuration: one row per node,
-    its degree-n monomials in monomials order, the rows monomial_values
-    gives.  It is built by columns, each monomial at every node at once
-    from one power table per coordinate, and transposed.  A witness checks
-    incidence and ranks the system on the same configuration, so the last
-    matrix built is kept and shared by every caller, hence tuples
-    throughout."""
-    n, nodes = config.n, config.nodes()
-    x, y, z = (_powers([node[c] for node in nodes], n) for c in range(3))
-    return tuple(zip(*(map(mul, map(mul, x[i], y[j]), z[k]) for i, j, k in monomials(n))))
+    """The node-evaluation matrix of the configuration: its
+    `_monomial_rows` at the nodes.  A witness checks incidence and ranks
+    the system on the same configuration, so the last matrix built is
+    kept and shared by every caller, hence tuples throughout."""
+    return _monomial_rows(config.n, config.nodes())
 
 
 def verify_darboux(config: PlaneConfiguration, curve: PlaneCurve) -> bool:

@@ -31,69 +31,55 @@ class ParseError(ValueError):
         )
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def literal(self, lit: str) -> bool:
-        if self.text.startswith(lit, self.pos):
-            self.pos += len(lit)
-            return True
-        return False
-
-    def integer(self) -> int:
-        # ASCII digits only: str.isdigit also takes superscripts, which
-        # int() refuses, and other scripts' digits, which it reads
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in "0123456789":
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError(start, {"integer"})
-        return int(self.text[start:self.pos])
-
-
 def parse_integrand(text: str) -> "api.IntegrandSpec":
     """Parse expr := term ('*' term)*, term := 'c1(L)' ['^' int]
     | 's' int '(E*L)', with at most one Segre factor.  Exponents of
     repeated c1(L) factors accumulate."""
-    sc = _Scanner(text)
-    i_total, k_total, seen_segre = 0, 0, False
 
-    def term():
-        nonlocal i_total, k_total, seen_segre
-        sc.skip_ws()
-        if sc.literal("c1(L)"):
-            sc.skip_ws()
-            if sc.literal("^"):
-                sc.skip_ws()
-                i_total += sc.integer()
+    def spaced(pos: int) -> int:
+        while pos < len(text) and text[pos].isspace():
+            pos += 1
+        return pos
+
+    def integer(pos: int) -> tuple[int, int]:
+        # the value and end of the ASCII digits at pos: str.isdigit also
+        # takes superscripts, which int() refuses, and other scripts'
+        # digits, which it reads
+        start = pos
+        while pos < len(text) and text[pos] in "0123456789":
+            pos += 1
+        if pos == start:
+            raise ParseError(start, {"integer"})
+        return int(text[start:pos]), pos
+
+    i_total, k_total, seen_segre = 0, 0, False
+    pos = 0
+    while True:  # one term per turn
+        pos = spaced(pos)
+        if text.startswith("c1(L)", pos):
+            pos = spaced(pos + len("c1(L)"))
+            if text.startswith("^", pos):
+                i, pos = integer(spaced(pos + 1))
+                i_total += i
             else:
                 i_total += 1
-            return
-        if sc.literal("s"):
-            k = sc.integer()
-            if not sc.literal("(E*L)"):
-                raise ParseError(sc.pos, {"(E*L)"})
+        elif text.startswith("s", pos):
+            k, pos = integer(pos + 1)
+            if not text.startswith("(E*L)", pos):
+                raise ParseError(pos, {"(E*L)"})
+            pos += len("(E*L)")
             if seen_segre:
-                raise ParseError(sc.pos, {"at most one Segre factor"})
+                raise ParseError(pos, {"at most one Segre factor"})
             seen_segre = True
             k_total = k
-            return
-        raise ParseError(sc.pos, {"c1(L)", "s<k>(E*L)"})
-
-    term()
-    sc.skip_ws()
-    while sc.pos < len(sc.text):
-        if not sc.literal("*"):
-            raise ParseError(sc.pos, {"*", "end of input"})
-        term()
-        sc.skip_ws()
-    return api.IntegrandSpec(i_total, k_total)
+        else:
+            raise ParseError(pos, {"c1(L)", "s<k>(E*L)"})
+        pos = spaced(pos)
+        if pos == len(text):
+            return api.IntegrandSpec(i_total, k_total)
+        if not text.startswith("*", pos):
+            raise ParseError(pos, {"*", "end of input"})
+        pos += 1
 
 
 CSV_KEYS = ("command", "n", "i", "k", "value", "fixed_points")
@@ -199,8 +185,12 @@ def _cmd_witness(args) -> int:
 def _cmd_verify(args) -> int:
     from . import verify
     records = list(verify.run_checks())
-    _emit(args.format, records, records, ("name", "ok", "elapsed_s"),
-          "\n".join(map(verify.report_line, records)))
+    text = "\n".join(map(verify.report_line, records))
+    # JSON and CSV round elapsed_s to the microsecond, as _record rounds
+    # elapsed_ms; the text line keeps its own two decimals
+    for record in records:
+        record["elapsed_s"] = round(record["elapsed_s"], 6)
+    _emit(args.format, records, records, ("name", "ok", "elapsed_s"), text)
     return 0 if all(r["ok"] for r in records) else 1
 
 

@@ -22,8 +22,7 @@ and (-N, 1-N):
   N | l+1, impossible for 0 < l+1 <= m < N; at l = 0 the first weight
   is -(a+1)N.
 Shifted frames (`chart_frames(shift)`) move only the line weights, so
-the proof holds for them too.  `_chart_table` still checks every weight,
-once per hook (a, l) in its table of tangent-weight products.
+the proof holds for them too.  `_chart_table` still checks every weight.
 
 The sum is taken per chart, not per fixed point.  A fixed point is a
 triple of partitions, one per chart of P^2, since a fixed subscheme is a
@@ -69,13 +68,10 @@ triple, and every sum is one integer numerator over the common
 denominator of the triples.  `integrate_many`
 is the pass over one m and `integrate` the one-integrand pass.
 
-The two specializations of a pass share no chart table, so a pass whose
-work pays for a fork (`FORK_WORK`) runs the cross-check specialization's
-tables, pair products and sums in a forked child, which sends each m's
-values back over a pipe with marshal, while this process does the same
-for the first specialization and compares the two per m.  A pass that
-cannot fork, or whose child fails, computes the cross-check in this
-process, so every error keeps its type and message.
+The two specializations of a pass share no chart table, so a large
+enough pass runs the cross-check specialization in a forked child while
+this process runs the first; `integrate_by_m` says when, and what
+happens when the child fails.
 
 Every value is an int: the fixed-point sum of an integral class on the
 smooth projective Hilb^m(P^2) is its equivariant integral, a polynomial
@@ -109,13 +105,12 @@ SPAN = 64  # N is drawn from (m+1, m+1+SPAN]
 # an earlier sitting, 5.7 s at m = 26 in one process; the time about
 # doubles for each step of 2
 MAX_M = 24
-# a pass forks its cross-check when its work estimate,
-# fixed_point_count(m_top) * (k_top + 1), reaches this.  The fork costs
-# about 2 ms: on a 2-core box (medians of 30 fresh processes) a forked
-# pass took 4.5 ms where one process took 2.5 ms at m = 10, k = 0 (work
-# 2640), 5.6 against 4.8 ms at m = 12, k = 0 (7868), 6.0 against 6.4 ms
-# at m = 10, k = 10 (29 040) and 10.4 against 12.7 ms at m = 10, k = 20
-# (55 440)
+# the work estimate at which a pass forks its cross-check (see
+# integrate_by_m).  The fork costs about 2 ms: on a 2-core box (medians
+# of 30 fresh processes) a forked pass took 4.5 ms where one process took
+# 2.5 ms at m = 10, k = 0 (work 2640), 5.6 against 4.8 ms at m = 12,
+# k = 0 (7868), 6.0 against 6.4 ms at m = 10, k = 10 (29 040) and 10.4
+# against 12.7 ms at m = 10, k = 20 (55 440)
 FORK_WORK = 30_000
 
 
@@ -269,11 +264,12 @@ def _chart_table(shapes, frame, w1: int, w2: int, k: int):
     their product is read from one list indexed by the hook's int, filled
     for every (arm, leg) with arm + leg <= m-1, m the largest size: the
     hook partition (arm+1, 1^leg) has size arm + leg + 1 <= m, so the list
-    holds exactly the hooks that occur, and None elsewhere.  h(e^mu)
-    extends its parent's series by the one new cell, and the partitions
-    are summed over the lcm of their euler_mu before the entry is reduced.
-    Raises DegenerateSpecialization if any tangent weight vanishes, before
-    any series is built.
+    holds exactly the hooks that occur, and None elsewhere.  Filling it
+    checks every tangent weight, once per hook, and raises
+    DegenerateSpecialization if one vanishes, before any series is built.
+    h(e^mu) extends its parent's series by the one new cell, and the
+    partitions are summed over the lcm of their euler_mu before the entry
+    is reduced.
     """
     u, v, line = (a * w1 + b * w2 for a, b in frame)
     m = len(shapes) - 1
@@ -348,16 +344,14 @@ def _binomials(m: int, k: int) -> tuple[int, ...]:
 def fixed_point_sum(m: int, spec: Specialization, integrands,
                     frames=DEFAULT_FRAMES) -> tuple[int, ...]:
     """The fixed-point formula at spec: the sum over all fixed points of
-    Hilb^m of lambda^i * s_k / euler, one value per integrand, computed
-    chart by chart from chart tables built for Hilb^m up to the largest
-    k.  The one entry point that takes frames; the others sum in
-    DEFAULT_FRAMES.  An m or integrand that `integrate` refuses is
-    refused here too, before any work.  See `_chart_sum`."""
+    Hilb^m of lambda^i * s_k / euler, one value per integrand, as one
+    `_pass_values` pass over Hilb^m alone at one specialization.  The one
+    entry point that takes frames; the others sum in DEFAULT_FRAMES.  An
+    m or integrand that `integrate` refuses is refused here too, before
+    any work."""
     integrands = _checked(m, integrands)
     k_max = max((integrand.k for integrand in integrands), default=0)
-    shapes = _shapes(m)
-    tables = [_chart_table(shapes, frame, spec.w1, spec.w2, k_max) for frame in frames]
-    return _chart_sum(m, spec, tables, _pair_products(tables, m), frames, integrands)
+    return next(_pass_values(_shapes(m), spec, k_max, {m: integrands}, (m,), frames))
 
 
 def _chart_sum(m: int, spec: Specialization, tables, pairs, frames, integrands):
@@ -456,15 +450,14 @@ def _checked(m: int, integrands) -> tuple[IntegrandSpec, ...]:
     return integrands
 
 
-def _pass_values(shapes, spec: Specialization, k_top: int, passes, order):
-    """Each m's values at spec, for the m of passes in order: one set of
-    chart tables and pair products, built at m_top = len(shapes) - 1 and
-    k_top, serves every m."""
-    tables = [_chart_table(shapes, frame, spec.w1, spec.w2, k_top)
-              for frame in DEFAULT_FRAMES]
+def _pass_values(shapes, spec: Specialization, k_top: int, passes, order, frames):
+    """Each m's values at spec in frames, for the m of passes in order:
+    one set of chart tables and pair products, built at
+    m_top = len(shapes) - 1 and k_top, serves every m (see `_chart_sum`)."""
+    tables = [_chart_table(shapes, frame, spec.w1, spec.w2, k_top) for frame in frames]
     pairs = _pair_products(tables, len(shapes) - 1)
     for m in order:
-        yield _chart_sum(m, spec, tables, pairs, DEFAULT_FRAMES, passes[m])
+        yield _chart_sum(m, spec, tables, pairs, frames, passes[m])
 
 
 def _may_fork() -> bool:
@@ -509,9 +502,9 @@ def _fork(values):
 
 def _received(pid: int, read_end: int):
     """The list the child sent; None when the read fails, the child exits
-    nonzero or its data is short.  The child is reaped, and killed first
-    unless the read came to the end of the pipe, before this returns or
-    raises."""
+    nonzero or its data is short.  The one place that closes the read
+    end and reaps the child: the child is reaped, and killed first unless
+    the read came to the end of the pipe, before this returns or raises."""
     data = None
     try:
         with open(read_end, "rb") as pipe:
@@ -551,10 +544,13 @@ def integrate_by_m(passes, *, seed: int = 0) -> dict[int, tuple[IntegralResult, 
     per integrand, in order.
 
     When fixed_point_count(m_top) * (k_top + 1) reaches FORK_WORK and
-    `_may_fork`, the cross-check specialization runs in a forked child,
-    from the shapes built here, beside this process's work on the first;
-    the child is reaped before the call returns or raises.  Otherwise, or
-    if the child fails, the cross-check runs here, m by m.
+    `_may_fork`, the cross-check specialization's tables, pair products
+    and sums run in a forked child, from the shapes built here, beside
+    this process's work on the first; the child sends each m's values
+    back over a pipe with marshal and is reaped before the call returns
+    or raises.  Otherwise, or if the pipe, the fork or the child fails,
+    the cross-check runs here, m by m, so every error keeps its type and
+    message.
 
     Each result's elapsed_s is the wall time of its m's own sums and
     cross-check in this process; m_top is charged the shared shapes, the
@@ -574,18 +570,18 @@ def integrate_by_m(passes, *, seed: int = 0) -> dict[int, tuple[IntegralResult, 
     specs = specializations(m_top, seed)
     # m_top goes first, so that its clock runs over the shared work too
     order = sorted(passes, key=lambda m: m != m_top)
-    # a generator, started in the child or here but never in both
-    checks = _pass_values(shapes, specs[1], k_top, passes, order)
+    # generators: checks is started in the child or here but never in both
+    firsts, checks = (_pass_values(shapes, spec, k_top, passes, order, DEFAULT_FRAMES)
+                      for spec in specs)
     child = (_fork(checks) if _count_triples(counts, m_top) * (k_top + 1) >= FORK_WORK
              and _may_fork() else None)
     results = {}
     try:
-        for m, values in zip(order, _pass_values(shapes, specs[0], k_top, passes, order)):
+        for m, values in zip(order, firsts):
             if child is not None:
                 # _received reaps the child whether it returns or raises
-                pid, read_end = child
-                child = None
-                received = _received(pid, read_end)
+                forked, child = child, None
+                received = _received(*forked)
                 if received is not None:
                     checks = iter(received)
             for integrand, value, check_value in zip(passes[m], values, next(checks)):
@@ -602,10 +598,9 @@ def integrate_by_m(passes, *, seed: int = 0) -> dict[int, tuple[IntegralResult, 
             t0 = t1
     finally:
         if child is not None:
-            pid, read_end = child
-            _kill(pid)
-            os.close(read_end)
-            os.waitpid(pid, 0)
+            # a child left unread is killed; _received reaps it
+            _kill(child[0])
+            _received(*child)
     return {m: results[m] for m in passes}
 
 

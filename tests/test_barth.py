@@ -441,7 +441,8 @@ def test_one_witness_builds_each_node_row_once():
 
 
 def test_node_rows_are_the_monomial_values_at_the_nodes():
-    # the matrix is built by columns; its rows must be monomial_values, node by node
+    # the matrix is built by columns; its rows must be monomial_values, node
+    # by node, and the powers themselves, which share no code with either
     configs = [PlaneConfiguration(((3, -2, 7),)),  # n = 0: no nodes
                PlaneConfiguration(((3, -2, 7), (0, 5, -1)))]
     configs += [sample_configuration(n, seed) for n in range(2, 13) for seed in range(4)]
@@ -449,6 +450,8 @@ def test_node_rows_are_the_monomial_values_at_the_nodes():
         want = tuple(tuple(monomial_values(config.n, node)) for node in config.nodes())
         got = barth._node_rows(config)
         assert got == want
+        assert got == tuple(tuple(x ** i * y ** j * z ** k for i, j, k in monomials(config.n))
+                            for x, y, z in config.nodes())
         assert all(type(v) is int for row in got for v in row)
 
 

@@ -64,6 +64,27 @@ def test_parse_rejects_empty():
         parse_integrand("")
 
 
+# each branch of the grammar: an (i, k) pair, or the (offset, expected) of
+# its ParseError
+@pytest.mark.parametrize("text, want", [
+    ("c1(L) *", (7, {"c1(L)", "s<k>(E*L)"})),        # a '*' with no term after it
+    ("c1(L) c1(L)", (6, {"*", "end of input"})),     # two terms with no '*'
+    ("c1(L) ^ 2", (2, 0)),                           # whitespace around '^'
+    ("s 2(E*L)", (1, {"integer"})),                  # no whitespace inside s<k>
+    ("s3(E*L) * s2(E*L)", (17, {"at most one Segre factor"})),  # after the second
+    ("", (0, {"c1(L)", "s<k>(E*L)"})),
+    ("c1(L)^", (6, {"integer"})),                    # '^' at the end of input
+    ("  s4(E*L)  ", (0, 4)),                         # leading and trailing whitespace
+])
+def test_parse_every_branch(text, want):
+    if isinstance(want[1], set):
+        with pytest.raises(ParseError) as err:
+            parse_integrand(text)
+        assert (err.value.offset, err.value.expected) == want
+    else:
+        assert parse_integrand(text) == IntegrandSpec(*want)
+
+
 def test_donaldson_command(capsys):
     assert run(["donaldson", "--n", "5"]) == 0
     out = capsys.readouterr().out
@@ -358,6 +379,26 @@ def test_every_command_honours_format(monkeypatch, capsys, cmd, fmt):
         lines = out.strip().splitlines()
         assert lines[0] == header and lines.count(header) == 1
         assert all(line.count(",") == header.count(",") for line in lines)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_verify_rounds_elapsed_s_to_the_microsecond(monkeypatch, capsys, fmt):
+    # JSON and CSV round as value records round elapsed_ms; the text line
+    # keeps its two decimals
+    ticks = iter([10.0, 11.2345678, 20.0, 20.0049996])
+    monkeypatch.setattr(verify, "perf_counter", lambda: next(ticks))
+    monkeypatch.setattr(verify, "CRITERIA", [
+        ("first", lambda: (True, "fine")),
+        ("second", lambda: (True, "fine")),
+    ])
+    assert run(["--format", fmt, "verify"]) == 0
+    out = capsys.readouterr().out
+    if fmt == "json":
+        assert [r["elapsed_s"] for r in json.loads(out)] == [1.234568, 0.005]
+    elif fmt == "csv":
+        assert out.splitlines()[1:] == ["first,True,1.234568", "second,True,0.005"]
+    else:
+        assert out.splitlines() == ["PASS first (1.23 s): fine", "PASS second (0.00 s): fine"]
 
 
 @pytest.mark.parametrize("exc,code", [

@@ -88,6 +88,29 @@ def test_the_paper_table_stays_in_process(monkeypatch):
     assert len(forks) == 1
 
 
+
+def one_cpu(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+
+def no_fork(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+
+
+@pytest.mark.parametrize("refuse", [one_cpu, no_fork])
+def test_one_cpu_or_no_fork_keeps_a_pass_in_process(refuse, monkeypatch):
+    # _may_fork itself decides, unpatched: a pass whose work is above
+    # FORK_WORK starts no child
+    forks = []
+    fork = engine._fork
+    monkeypatch.setattr(engine, "_fork", lambda values: forks.append(values) or fork(values))
+    refuse(monkeypatch)
+    assert engine._may_fork() is False
+    assert fixed_point_count(10) * 21 >= engine.FORK_WORK
+    assert integrate(10, IntegrandSpec(0, 20)).value == 2598958192572
+    assert forks == []
+
+
 CHECK = specializations(10, 3)[1]
 
 
