@@ -26,9 +26,10 @@ Point = tuple[int, int, int]
 COORD_RANGE = 30  # sampled coordinates lie in [-COORD_RANGE, COORD_RANGE]
 MAX_TRIES = 1000  # configurations drawn before sampling gives up
 # Largest n sampled.  Every seed tried succeeds up to n = 29, but one witness
-# takes 0.10-0.12 s at n = 24 and 0.26-0.40 s at n = 29 on a 2-core box (seeds
-# 0-9), up to 0.21 s of it redraws; the curve is 0.8-1.7 ms of it, incidence
-# and rank the rest.
+# (sample, curve, incidence and rank) took 0.11-0.21 s at n = 24, mean
+# 0.15 s, and 0.31-0.69 s at n = 29, up to 0.24 s of it redraws (seeds 0-9,
+# two rounds of fresh processes, a 2-core box, Python 3.11); the curve is
+# 0.9-2.7 ms of it, incidence and rank most of the rest.
 MAX_N = 24
 
 
@@ -301,10 +302,8 @@ def verify_darboux(config: PlaneConfiguration, curve: PlaneCurve) -> bool:
 
 def darboux_system_dimension(config: PlaneConfiguration) -> int:
     """Projective dimension of the system of degree-n dual-plane curves
-    through all nodes, by the exact rank of the node-evaluation matrix.
-    The expected rank is full row rank, n(n+1)/2, which a rank modulo
-    one prime certifies; only a configuration whose matrix loses rank
-    modulo that prime is ranked by Bareiss elimination over Z.  The
+    through all nodes, by the exact rank of the node-evaluation matrix
+    (`linalg.rank`); the expected rank is full row rank, n(n+1)/2.  The
     system has C(n+2, 2) monomials, counted here, not read off a row: one
     point has no nodes, and its system is the one curve of degree 0."""
     n = config.n

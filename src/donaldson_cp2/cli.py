@@ -83,8 +83,8 @@ def parse_integrand(text: str) -> "api.IntegrandSpec":
 
 
 CSV_KEYS = ("command", "n", "i", "k", "value", "fixed_points")
-# Most witness samples in one call: one witness took 0.21-0.32 s at n = 24
-# on a 2-core box (means over 10 seeds), so 100 take under a minute.
+# Most witness samples in one call: at the time of one witness at
+# barth.MAX_N (see its comment), 100 take under half a minute.
 MAX_SAMPLES = 100
 
 

@@ -5,10 +5,10 @@ An integrand is c1(L)^i * s_k(E tensor L).  At each fixed point the
 summand is lambda^i * s_k / (product of tangent weights), all specialized
 at integer torus parameters (w1, w2); the sum over fixed points is a
 constant (independent of the parameters) whenever i + k <= 2m and no
-tangent weight vanishes.  Every integral is evaluated at two
-specializations (1, N) and (1, N'), N != N', which `specializations`
-draws from (m+1, m+1+SPAN] by Random(seed), and the results must agree
-bitwise.  A pass over several m draws them at its largest m, m_top.
+tangent weight vanishes.  Every integral is evaluated at the two
+specializations (1, N) and (1, N'), N != N', that `specializations`
+draws, and the results must agree bitwise.  A pass over several m draws
+them at its largest m, m_top.
 
 No tangent weight vanishes at (1, N) with N > m, so no draw is ever
 rejected, and N > m_top >= m serves every m of a pass.  A cell with arm
@@ -58,15 +58,13 @@ m+1 entries of each table and the first k+1 terms of each series.  A
 product of two series truncated at the largest k is exact on every
 prefix for the same reason, so the products of chart 1's and chart 2's
 series, the same in every m with room for both sizes, are shared across
-the pass.  Each integral is a different linear functional on the same
-per-triple series, so the products with chart 3 and the Segre-basis sums
-of each degree are shared within an m.  A series that meets several
-partners, chart 1's in the shared products and chart 3's within an m,
-is reversed once, prefix by prefix (`_prefixes`).  Those sums are taken term by
-term, each one dot product over all the triples at once, not triple by
-triple, and every sum is one integer numerator over the common
-denominator of the triples.  `integrate_many`
-is the pass over one m and `integrate` the one-integrand pass.
+the pass (`_pair_products`).  Each integral is a different linear
+functional on the same per-triple series, so the products with chart 3
+and the Segre-basis sums of each degree are shared within an m
+(`_chart_sum`).  A series that meets several partners, chart 1's in the
+shared products and chart 3's within an m, is reversed once, prefix by
+prefix (`_prefixes`).  `integrate_many` is the pass over one m and
+`integrate` the one-integrand pass.
 
 The two specializations of a pass share no chart table, so a large
 enough pass runs the cross-check specialization in a forked child while
@@ -105,8 +103,8 @@ SPAN = 64  # N is drawn from (m+1, m+1+SPAN]
 # an earlier sitting, 5.7 s at m = 26 in one process; the time about
 # doubles for each step of 2
 MAX_M = 24
-# the work estimate at which a pass forks its cross-check (see
-# integrate_by_m).  The fork costs about 2 ms: on a 2-core box (medians
+# the work estimate from which integrate_by_m forks its cross-check.
+# The fork costs about 2 ms: on a 2-core box (medians
 # of 30 fresh processes) a forked pass took 4.5 ms where one process took
 # 2.5 ms at m = 10, k = 0 (work 2640), 5.6 against 4.8 ms at m = 12,
 # k = 0 (7868), 6.0 against 6.4 ms at m = 10, k = 10 (29 040) and 10.4
@@ -320,10 +318,8 @@ def _convolve(prefixes, q):
 
 def _pair_products(tables, m: int):
     """(a, b) -> chart 1's series of size a times chart 2's of size b, for
-    a, b >= 1 with a + b <= m, at the tables' length; each chart-1 series
-    is reversed once, for its m - a partners.  Truncated products are
-    exact on every prefix (see the module docstring), so every Hilb^m of a
-    pass with tables built at m reads these same products."""
+    a, b >= 1 with a + b <= m, at the tables' length: the products every
+    Hilb^m of a pass shares (see the module docstring)."""
     first, second = tables[0], tables[1]
     pairs = {}
     for a in range(1, m):
@@ -344,8 +340,8 @@ def _binomials(m: int, k: int) -> tuple[int, ...]:
 def fixed_point_sum(m: int, spec: Specialization, integrands,
                     frames=DEFAULT_FRAMES) -> tuple[int, ...]:
     """The fixed-point formula at spec: the sum over all fixed points of
-    Hilb^m of lambda^i * s_k / euler, one value per integrand, as one
-    `_pass_values` pass over Hilb^m alone at one specialization.  The one
+    Hilb^m of lambda^i * s_k / euler, one value per integrand, as the pass
+    of the module docstring over Hilb^m alone at one specialization.  The one
     entry point that takes frames; the others sum in DEFAULT_FRAMES.  An
     m or integrand that `integrate` refuses is refused here too, before
     any work."""
@@ -358,34 +354,27 @@ def _chart_sum(m: int, spec: Specialization, tables, pairs, frames, integrands):
     """The fixed-point sum over Hilb^m at spec, one int per integrand,
     from chart tables of at least m+1 sizes and at least the largest k
     terms, in lowest terms or not, and their `_pair_products` for at least
-    this m.
+    this m: the Segre-basis sum of the module docstring.
 
-    A triple of chart sizes (a, b, c) starts from the shared pair product
-    when a and b are both nonempty, from the one nonempty series of the
-    two otherwise, or from the empty chart's series 1, and costs one more
-    product, truncated at the largest k, when c is nonempty and a or b
-    is too; chart 3's series of size c is reversed once for all of its
-    partners.  Longer series are read by their prefixes, which stay exact
-    (see the module docstring).  The shift by lambda is taken once, at
-    the end, by the Segre-basis sum of the module docstring: for each
-    degree d = i + k, S_l = sum over triples of lambda^(d-l) * X_l, X the
-    triple's product series, for l up to the largest k of that degree,
-    top, and each integral is one dot product of S with its `_binomials`
-    row.  The products are transposed once into columns, term l of every
-    triple, and each S_l is one dot product of a column with a weight
-    column: per triple, its scale to the common denominator times
-    lambda^(d-top) at l = top, one more factor lambda per term below.  All of it is
-    integer: every sum is one numerator over the common denominator of
-    the triples, divided exactly at the end, one int per integrand.  Raises
-    ArithmeticError on a remainder (the sum of an integral class is an
-    integer); the tables raise DegenerateSpecialization exactly when some
-    fixed point has a vanishing tangent weight.
+    Each triple of chart sizes (a, b, c) carries its denominator, its
+    lambda and its product series X, truncated at the largest k: the pair
+    product when a and b are both nonempty, the one nonempty series of
+    the two otherwise, or the empty chart's series 1, times chart 3's
+    series of size c when c is nonempty.  The X are transposed once into
+    columns, term l of every triple.  For each degree d = i + k, with top
+    its largest k, S_l is one dot product of column l with a weight
+    column, per triple its scale to the common denominator times
+    lambda^(d-l): lambda^(d-top) at l = top, one more factor lambda per
+    term below.  Each integral is one dot product of S with its
+    `_binomials` row, a numerator over the common denominator, divided
+    exactly.  Raises ArithmeticError on a remainder; the tables raise
+    DegenerateSpecialization.
     """
     w1, w2 = spec.w1, spec.w2
     k_max = max((integrand.k for integrand in integrands), default=0)
     first, second, third = tables
-    # chart 3's series of size c < m reversed once, for its m - c + 1
-    # partners; size m meets only the empty charts
+    # chart 3's series of size c < m, reversed once; size m meets only
+    # the empty charts
     rev_thirds = [None] + [_prefixes(h[:k_max + 1]) for _, h in third[1:m]]
     lines = [a * w1 + b * w2 for _, _, (a, b) in frames]
     # per degree d = i + k, the largest k: its sums run over l = 0..k
@@ -451,9 +440,9 @@ def _checked(m: int, integrands) -> tuple[IntegrandSpec, ...]:
 
 
 def _pass_values(shapes, spec: Specialization, k_top: int, passes, order, frames):
-    """Each m's values at spec in frames, for the m of passes in order:
-    one set of chart tables and pair products, built at
-    m_top = len(shapes) - 1 and k_top, serves every m (see `_chart_sum`)."""
+    """Each m's values at spec in frames, for the m of passes in order,
+    from one set of chart tables and pair products built at
+    m_top = len(shapes) - 1 and k_top (see the module docstring)."""
     tables = [_chart_table(shapes, frame, spec.w1, spec.w2, k_top) for frame in frames]
     pairs = _pair_products(tables, len(shapes) - 1)
     for m in order:
@@ -531,9 +520,8 @@ def _kill(pid: int):
 
 def integrate_by_m(passes, *, seed: int = 0) -> dict[int, tuple[IntegralResult, ...]]:
     """Integrate, for each m of passes, every c1(L)^i * s_k(E tensor L)
-    in passes[m] over Hilb^m(P^2) exactly, in one pass: one set of chart
-    tables in DEFAULT_FRAMES and of their `_pair_products` per
-    specialization serves every m.
+    in passes[m] over Hilb^m(P^2) exactly, in one pass in DEFAULT_FRAMES
+    (see the module docstring).
 
     Each integrand requires i + k <= 2m; for i + k < 2m the value is 0
     by degree reasons, which the summation confirms.  Every m and every

@@ -64,13 +64,10 @@ def _darboux_result(n: int, i: int, result: IntegralResult) -> DarbouxCount:
 
 
 def donaldson_q(n: int, *, seed: int = 0) -> DonaldsonResult:
-    """The Donaldson coefficient q_{4n-3} of CP^2, for 2 <= n <= 6: a
-    prefactor times a Darboux count.  For n <= 5 it is 1/2^(5-n) times
-    darboux_count(n, 5-n); at n = 6 it is 2/5 times darboux_count(6, 0).
-
-    The n = 6 prefactor is a special case and the formula must not be
-    extrapolated past it.
-    """
+    """The Donaldson coefficient q_{4n-3} of CP^2, for 2 <= n <= 6: the
+    module docstring's prefactor times a Darboux count.  The n = 6
+    prefactor is a special case and the formula must not be extrapolated
+    past it."""
     i, prefactor = _donaldson_rule(n)
     return _donaldson_result(n, prefactor, darboux_count(n, i, seed=seed))
 

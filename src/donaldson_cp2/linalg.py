@@ -1,25 +1,17 @@
 """Exact linear algebra over the integers: fraction-free Bareiss
 elimination for determinants and ranks, and a rank certified modulo a
-prime that falls back to Bareiss when the certificate fails.
-
-The modular rank packs each row into one int, one 64-bit slot per
-column, with one struct.pack of the row's residues.  It scales the pivot
-row a whole row at a time with folds, fold(x) = (x & LOW) + 5 * (x >> 26
-& HIGH), LOW and HIGH masking the low 26 and the high 38 bits of every
-slot; a fold keeps each slot's class because 2**26 is 5 modulo P.  Two
-folds before the multiply by the pivot's inverse and two after leave
-every slot of the scaled row below 2 * P, and for fewer than 2**11 rows
-a slot stays below P + rows * 2 * P**2 < 2**64, so elimination never
-carries between slots."""
+prime that falls back to Bareiss when the certificate fails.  The
+modular rank eliminates whole rows packed into 64-bit slots;
+`_rank_mod_p` derives why no slot carries."""
 
 from math import lcm
 from struct import Struct
 
-P = 2**26 - 5  # the largest prime below 2**26: rows * 2 * P**2 fits a 64-bit slot
+P = 2**26 - 5  # the largest prime below 2**26; see _rank_mod_p
 _WIDTH = 64  # bits per slot, one struct "Q"
 _LOW_BITS = P.bit_length()  # 26: the part of a slot a fold keeps in place
 _FOLD = 2**_LOW_BITS - P  # 5 = 2**26 modulo P: what a fold multiplies the rest by
-MAX_MOD_P_ROWS = 2**11  # a slot stays below 2**64 for fewer rows than this
+MAX_MOD_P_ROWS = 2**11  # _rank_mod_p's slots hold fewer rows than this
 
 
 def clear_denominators(row) -> list[int]:
