@@ -19,7 +19,7 @@ from itertools import combinations
 from math import gcd, prod
 from operator import mul
 
-from .linalg import clear_denominators, rank
+from .linalg import clear_denominators, rank_mod_p
 
 Point = tuple[int, int, int]
 
@@ -285,11 +285,18 @@ def _monomial_rows(degree: int, points) -> tuple:
 
 @lru_cache(maxsize=1)
 def _node_rows(config: PlaneConfiguration) -> tuple:
-    """The node-evaluation matrix of the configuration: its
-    `_monomial_rows` at the nodes.  A witness checks incidence and ranks
-    the system on the same configuration, so the last matrix built is
-    kept and shared by every caller, hence tuples throughout."""
-    return _monomial_rows(config.n, config.nodes())
+    """The node-evaluation matrix: `_monomial_rows` at one node per point
+    of the dual plane.  Zero nodes (equal points) are dropped and, of
+    proportional nodes (concurrent dual lines), the first is kept unscaled,
+    so a generic configuration keeps every node in order; the row at c * p
+    is c**n times the row at p.  Incidence and the system read the same
+    configuration, so the last matrix is kept and shared, hence tuples."""
+    distinct = {}
+    for a, b, c in config.nodes():
+        g = gcd(a, b, c) if (a or b or c) > 0 else -gcd(a, b, c)
+        if g:  # 0 only at a zero node
+            distinct.setdefault((a // g, b // g, c // g), (a, b, c))
+    return _monomial_rows(config.n, list(distinct.values()))
 
 
 def verify_darboux(config: PlaneConfiguration, curve: PlaneCurve) -> bool:
@@ -302,9 +309,20 @@ def verify_darboux(config: PlaneConfiguration, curve: PlaneCurve) -> bool:
 
 def darboux_system_dimension(config: PlaneConfiguration) -> int:
     """Projective dimension of the system of degree-n dual-plane curves
-    through all nodes, by the exact rank of the node-evaluation matrix
-    (`linalg.rank`); the expected rank is full row rank, n(n+1)/2.  The
-    system has C(n+2, 2) monomials, counted here, not read off a row: one
-    point has no nodes, and its system is the one curve of degree 0."""
+    through all nodes: C(n+2, 2) - 1 minus the number of distinct nodes
+    (n(n+1)/2 when generic; one point has none, and its system is the one
+    curve of degree 0).
+
+    The distinct nodes of d <= n+1 distinct dual lines impose independent
+    conditions on degree-n forms.  For a node s, the product of the lines
+    not through s has degree at most d - 2 <= n - 1 and is nonzero at s;
+    any other node lies on two or more lines, at most one through s, so
+    the product vanishes there.  Times a power of a linear form nonzero at s,
+    it is a degree-n form vanishing at every node but s.  Reduction modulo
+    P can only lower a rank, so `rank_mod_p` equal to the row count
+    certifies this; a lower one is a bug, or P dividing every maximal minor."""
+    rows = _node_rows(config)
+    if rank_mod_p(rows) != len(rows):
+        raise ArithmeticError(f"{len(rows)} distinct node rows fall short of full rank modulo P")
     n = config.n
-    return (n + 1) * (n + 2) // 2 - 1 - rank(_node_rows(config))
+    return (n + 1) * (n + 2) // 2 - 1 - len(rows)

@@ -1,17 +1,16 @@
 """Exact linear algebra over the integers: fraction-free Bareiss
-elimination for determinants and ranks, and a rank certified modulo a
-prime that falls back to Bareiss when the certificate fails.  The
-modular rank eliminates whole rows packed into 64-bit slots;
-`_rank_mod_p` derives why no slot carries."""
+elimination for determinants and ranks, and a rank modulo a prime that
+eliminates whole rows packed into 64-bit slots; `rank_mod_p` derives why
+no slot carries."""
 
 from math import lcm
 from struct import Struct
 
-P = 2**26 - 5  # the largest prime below 2**26; see _rank_mod_p
+P = 2**26 - 5  # the largest prime below 2**26; see rank_mod_p
 _WIDTH = 64  # bits per slot, one struct "Q"
 _LOW_BITS = P.bit_length()  # 26: the part of a slot a fold keeps in place
 _FOLD = 2**_LOW_BITS - P  # 5 = 2**26 modulo P: what a fold multiplies the rest by
-MAX_MOD_P_ROWS = 2**11  # _rank_mod_p's slots hold fewer rows than this
+MAX_MOD_P_ROWS = 2**11  # rank_mod_p's slots hold fewer rows than this
 
 
 def clear_denominators(row) -> list[int]:
@@ -67,7 +66,7 @@ def bareiss_det(matrix) -> int:
     return sign * last if rank == len(matrix) else 0
 
 
-def _rank_mod_p(matrix) -> int:
+def rank_mod_p(matrix) -> int:
     """Rank of an integer matrix reduced modulo P, by Gaussian elimination
     over F_P on packed rows.
 
@@ -85,13 +84,15 @@ def _rank_mod_p(matrix) -> int:
     2**26 + 5 * 2**27 < 2**30 and then below 2**26 + 5 * 2**4 < 2 * P
     again.  A row takes at most one step per other row, each adding less
     than 2 * P**2 to a slot that started below P, so for fewer than
-    MAX_MOD_P_ROWS = 2**11 rows, which rank checks, a slot stays below P +
-    rows * 2 * P**2 < 2**64: it never goes negative and never carries into
-    its neighbour.  A slot is reduced modulo P only when it is read.
-    After each column every row drops its lowest slot, so the pivot column
-    is always the lowest.
+    MAX_MOD_P_ROWS = 2**11 rows a slot stays below P + rows * 2 * P**2 <
+    2**64: it never goes negative and never carries into its neighbour.
+    More rows are refused.  A slot is reduced modulo P only when it is
+    read.  After each column every row drops its lowest slot, so the pivot
+    column is always the lowest.
     """
     rows = len(matrix)
+    if rows >= MAX_MOD_P_ROWS:
+        raise ValueError(f"{rows} rows: the 64-bit slots hold fewer than {MAX_MOD_P_ROWS}")
     cols = len(matrix[0]) if matrix else 0
     mask = (1 << _WIDTH) - 1
     ones = ((1 << _WIDTH * cols) - 1) // mask  # a 1 in the lowest bit of every slot
@@ -117,23 +118,3 @@ def _rank_mod_p(matrix) -> int:
         live = [row + (P - f) * top if f else row for row, f in zip(live, factors)]
         rank += 1
     return rank
-
-
-def rank(matrix) -> int:
-    """Exact rank of an integer matrix.
-
-    Reduction modulo P is a ring map, so every minor that vanishes over Z
-    vanishes modulo P, and the rank modulo P is at most the rank over Q,
-    which is at most min(rows, cols).  A full rank modulo P is therefore
-    the exact rank; anything less falls back to Bareiss elimination over Z,
-    so the result never depends on the choice of P.  So does a matrix of
-    MAX_MOD_P_ROWS rows or more, more than the modular rank's slots hold.
-    Rows of unequal length are refused before any work.
-    """
-    cols = len(matrix[0]) if matrix else 0
-    if any(len(row) != cols for row in matrix):
-        raise ValueError("the rows of a matrix must all have the same length")
-    full = min(len(matrix), cols)
-    if len(matrix) < MAX_MOD_P_ROWS and _rank_mod_p(matrix) == full:
-        return full
-    return bareiss_rank(matrix)

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt, lcm
@@ -21,7 +22,7 @@ from donaldson_cp2.barth import (
     verify_darboux,
 )
 from donaldson_cp2 import barth, linalg
-from donaldson_cp2.linalg import P, bareiss_det, bareiss_rank, clear_denominators, rank
+from donaldson_cp2.linalg import P, bareiss_det, bareiss_rank, clear_denominators, rank_mod_p
 from donaldson_cp2.verify import multiplication_determinant
 
 
@@ -90,9 +91,11 @@ def test_bareiss_rank_against_fraction_elimination():
         assert bareiss_rank(m) == rank
 
 
-def test_rank_equals_bareiss_rank():
+def test_rank_mod_p_is_at_most_bareiss_rank():
+    # reduction modulo P can only lower a rank; on these seeded matrices it
+    # keeps every full row rank, the only rank the witness certifies
     rng = random.Random(17)
-    shapes, deficient = set(), 0
+    shapes, deficient, full = set(), 0, 0
     for _ in range(150):
         rows, cols = rng.randint(1, 8), rng.randint(1, 8)
         bound = rng.choice([1, 9, 2**40, 2**90])
@@ -103,11 +106,15 @@ def test_rank_equals_bareiss_rank():
             b, c = (rng.choice([r for r in range(rows) if r != a]) for _ in range(2))
             m[a] = [5 * x - 7 * y for x, y in zip(m[b], m[c])]
         want = bareiss_rank(m)
-        assert rank(m) == want
+        assert rank_mod_p(m) <= want
+        if want == rows:
+            assert rank_mod_p(m) == want
+            full += 1
         shapes.add((rows > cols) - (rows < cols))
         deficient += want < min(rows, cols)
     assert shapes == {-1, 0, 1}  # wide, square and tall matrices
     assert deficient >= 30
+    assert full >= 30
 
 
 @pytest.mark.parametrize("matrix,want", [
@@ -117,10 +124,14 @@ def test_rank_equals_bareiss_rank():
     ([[P, 0, 0], [0, P, 0], [0, 0, P]], 3),
     ([[2 * P, 0], [0, 0]], 1),
 ])
-def test_rank_of_matrices_singular_mod_p(matrix, want):
-    # singular modulo P but not over Q: the modular rank is too low, and
-    # only the fallback to Bareiss gives the exact rank
-    assert rank(matrix) == want
+def test_rank_of_matrices_singular_mod_p(monkeypatch, matrix, want):
+    # of lower rank modulo P than over Q: as node rows they fail the
+    # certificate, and the system dimension raises instead of guessing
+    assert bareiss_rank(matrix) == want
+    assert rank_mod_p(matrix) < want
+    monkeypatch.setattr(barth, "_node_rows", lambda config: matrix)
+    with pytest.raises(ArithmeticError, match="full rank modulo P"):
+        darboux_system_dimension(sample_configuration(2, 0))
 
 
 def per_entry_rank_mod_p(matrix):
@@ -169,7 +180,7 @@ def test_packed_rank_mod_p_equals_per_entry_elimination():
                 m[a] = [(u * x + v * y) % P + rng.randint(-2, 2) * P
                         for x, y in zip(m[b], m[c])]
         want = per_entry_rank_mod_p(m)
-        assert linalg._rank_mod_p(m) == want
+        assert rank_mod_p(m) == want
         shapes.add((rows > cols) - (rows < cols))
         deficient += want < min(rows, cols)
         largest = max(largest, rows, cols)
@@ -189,21 +200,69 @@ def test_generic_system_rank_needs_no_bareiss(monkeypatch):
             assert darboux_system_dimension(sample_configuration(n, seed)) == n
 
 
-def test_concurrent_dual_lines_fall_back_to_bareiss(monkeypatch):
-    # three collinear points make three dual lines concurrent, so two nodes
-    # coincide and the node matrix loses rank over Q, not just modulo P
-    calls = []
-    exact = linalg.bareiss_rank
+def test_concurrent_dual_lines_need_no_bareiss(monkeypatch):
+    # three collinear points make three dual lines concurrent, so three
+    # nodes name one point: the system keeps one row for it, 8 of 10
+    def no_bareiss(matrix):
+        raise AssertionError("Bareiss elimination ran")
 
-    def counted(matrix):
-        calls.append(len(matrix))
-        return exact(matrix)
-
-    monkeypatch.setattr(linalg, "bareiss_rank", counted)
+    monkeypatch.setattr(linalg, "_eliminate", no_bareiss)
     config = PlaneConfiguration(((0, 0, 1), (1, 0, 1), (2, 0, 1), (0, 1, 1), (3, 5, 1)))
     assert not config.is_generic()
     assert darboux_system_dimension(config) == 6
-    assert calls == [10]
+    assert len(barth._node_rows(config)) == 8
+
+
+def proportional(u, v):
+    return u[0] * v[1] == u[1] * v[0] and u[0] * v[2] == u[2] * v[0] and u[1] * v[2] == u[2] * v[1]
+
+
+def test_system_dimension_counts_the_distinct_nodes():
+    # the proof in darboux_system_dimension against Bareiss on the whole
+    # node matrix, zero and proportional nodes included
+    rng = random.Random(41)
+    kinds = dict.fromkeys(("repeated", "collinear", "generic"), 0)
+    for _ in range(1000):
+        n = rng.randint(1, 7)
+        points = []
+        while len(points) < n + 1:
+            point = tuple(rng.randint(-3, 3) for _ in range(3))
+            if any(point):
+                points.append(point)
+        config = PlaneConfiguration(points)
+        if any(proportional(p, q) for p, q in combinations(points, 2)):
+            kind = "repeated"
+        elif any(det3(*triple) == 0 for triple in combinations(points, 3)):
+            kind = "collinear"
+        else:
+            kind = "generic"
+        assert config.is_generic() == (kind == "generic")
+        kinds[kind] += 1
+        distinct = []
+        for node in config.nodes():
+            if any(node) and not any(proportional(node, d) for d in distinct):
+                distinct.append(node)
+        free = (n + 1) * (n + 2) // 2 - 1
+        assert darboux_system_dimension(config) == free - len(distinct)
+        assert len(distinct) == bareiss_rank(barth._monomial_rows(n, config.nodes()))
+    assert min(kinds.values()) >= 50, kinds
+
+
+@pytest.mark.parametrize("kind,want", [("collinear", 26), ("repeated", 48)])
+def test_non_generic_system_at_n_24_needs_no_bareiss(monkeypatch, kind, want):
+    # the last point moved onto the line through p0 and p1 (one collinear
+    # triple), or onto p0 itself (a zero node and 23 repeated ones)
+    def no_bareiss(matrix):
+        raise AssertionError("Bareiss elimination ran")
+
+    monkeypatch.setattr(linalg, "_eliminate", no_bareiss)
+    points = sample_configuration(24, 0).points
+    p0, p1 = points[:2]
+    last = tuple(a + 2 * b for a, b in zip(p0, p1)) if kind == "collinear" else p0
+    config = PlaneConfiguration(points[:-1] + (last,))
+    start = time.perf_counter()
+    assert darboux_system_dimension(config) == want
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -246,27 +305,14 @@ def test_packed_rank_mod_p_of_130_rows_near_p():
                 m[a] = [(u * x + v * y) % P for x, y in zip(m[b], m[c])]
         want = per_entry_rank_mod_p(m)
         assert want == min(rows, cols) - 20 * deficient
-        assert linalg._rank_mod_p(m) == want
+        assert rank_mod_p(m) == want
 
 
-@pytest.mark.parametrize("matrix", [[[1], [2, 3]], [[0, 0], [1]]], ids=("long", "short"))
-def test_rank_refuses_ragged_rows_before_any_work(monkeypatch, matrix):
-    def no_work(matrix):
-        raise AssertionError("elimination ran")
-
-    monkeypatch.setattr(linalg, "_rank_mod_p", no_work)
-    monkeypatch.setattr(linalg, "_eliminate", no_work)
-    with pytest.raises(ValueError, match="same length"):
-        rank(matrix)
-
-
-def test_rank_beyond_the_folded_rows_is_bareiss(monkeypatch):
+def test_rank_mod_p_refuses_rows_beyond_its_slots():
     # the modular rank's 64-bit slots hold fewer than MAX_MOD_P_ROWS rows
-    def no_mod_p(matrix):
-        raise AssertionError("the modular rank ran")
-
-    monkeypatch.setattr(linalg, "_rank_mod_p", no_mod_p)
-    assert rank([[1]] * linalg.MAX_MOD_P_ROWS) == 1
+    assert rank_mod_p([[1]] * (linalg.MAX_MOD_P_ROWS - 1)) == 1
+    with pytest.raises(ValueError, match="fewer than 2048"):
+        rank_mod_p([[1]] * linalg.MAX_MOD_P_ROWS)
 
 
 def test_bareiss_det_against_fraction_elimination():
