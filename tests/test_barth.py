@@ -9,20 +9,26 @@ from pathlib import Path
 import pytest
 
 from donaldson_cp2.barth import (
+    MAX_MOD_P_ROWS,
+    P,
+    _FOLD,
+    _WIDTH,
     DegenerateDatum,
     HulsbergenDatum,
     PlaneConfiguration,
     PlaneCurve,
     barth_curve,
+    clear_denominators,
     darboux_system_dimension,
     monomial_values,
     monomials,
+    rank_mod_p,
     sample_configuration,
     sample_datum,
     verify_darboux,
 )
 from donaldson_cp2 import barth, linalg
-from donaldson_cp2.linalg import P, bareiss_det, bareiss_rank, clear_denominators, rank_mod_p
+from donaldson_cp2.linalg import bareiss_det, bareiss_rank
 from donaldson_cp2.verify import multiplication_determinant
 
 
@@ -284,9 +290,11 @@ def test_modular_rank_constants():
         return q > 1 and all(q % d for d in range(2, isqrt(q) + 1))
 
     assert prime(P) and not any(map(prime, range(P + 1, 2**26)))
-    assert linalg._FOLD == 2**26 % P == 5
-    assert P + (linalg.MAX_MOD_P_ROWS - 1) * 2 * P**2 < 2**linalg._WIDTH == 2**64
-    assert P + 2 * linalg.MAX_MOD_P_ROWS * 2 * P**2 >= 2**64  # twice the rows would not
+    assert _FOLD == 2**26 % P == 5
+    assert P + (MAX_MOD_P_ROWS - 1) * 2 * P**2 < 2**_WIDTH == 2**64
+    assert P + 2 * MAX_MOD_P_ROWS * 2 * P**2 >= 2**64  # twice the rows would not
+    # the largest system the witness samples has 300 node rows
+    assert barth.MAX_N * (barth.MAX_N + 1) // 2 < MAX_MOD_P_ROWS
 
 
 def test_packed_rank_mod_p_of_130_rows_near_p():
@@ -310,9 +318,9 @@ def test_packed_rank_mod_p_of_130_rows_near_p():
 
 def test_rank_mod_p_refuses_rows_beyond_its_slots():
     # the modular rank's 64-bit slots hold fewer than MAX_MOD_P_ROWS rows
-    assert rank_mod_p([[1]] * (linalg.MAX_MOD_P_ROWS - 1)) == 1
+    assert rank_mod_p([[1]] * (MAX_MOD_P_ROWS - 1)) == 1
     with pytest.raises(ValueError, match="fewer than 2048"):
-        rank_mod_p([[1]] * linalg.MAX_MOD_P_ROWS)
+        rank_mod_p([[1]] * MAX_MOD_P_ROWS)
 
 
 def test_bareiss_det_against_fraction_elimination():

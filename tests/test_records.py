@@ -86,10 +86,16 @@ def test_witness_loads_neither_the_engine_nor_fractions():
         "datum = barth.sample_datum(3, 0)\n"
         "curve = barth.barth_curve(datum)\n"
         "assert barth.verify_darboux(datum.config, curve)\n"
-        "assert barth.darboux_system_dimension(datum.config) == 3"
+        "assert barth.darboux_system_dimension(datum.config) == 3\n"
+        # the n = 24 collinear case of test_barth, ranked modulo P in barth
+        "points = barth.sample_configuration(24, 0).points\n"
+        "last = tuple(a + 2 * b for a, b in zip(*points[:2]))\n"
+        "config = barth.PlaneConfiguration(points[:-1] + (last,))\n"
+        "assert barth.darboux_system_dimension(config) == 26"
     )
     heavy = {"fractions", "decimal", "numbers", "donaldson_cp2.engine",
-             "donaldson_cp2.invariants"}
+             "donaldson_cp2.invariants", "donaldson_cp2.linalg",
+             "donaldson_cp2.verify"}
     assert _newly_loaded(body, heavy) == []
 
 
