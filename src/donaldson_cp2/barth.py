@@ -10,17 +10,18 @@ functions-on-Z twisted by O(-1), and functions-on-Z modulo constants.
 The result is a degree-n curve in the dual plane passing through every
 intersection point of the dual lines of the configuration.  Everything
 is computed over the integers: `clear_denominators` scales rational input
-once, and `rank_mod_p` certifies the system dimension.  The module loads
-nothing else of the package.
+once, and `rank_mod_p` certifies the system dimension.  Of the package,
+the module imports only the record base, `_Record`, from the package root.
 """
 
 import random
-from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm, prod
 from operator import mul
 from struct import Struct
+
+from . import _Record
 
 Point = tuple[int, int, int]
 
@@ -66,18 +67,7 @@ def _cross(p: Point, q: Point) -> Point:
     )
 
 
-class _Checked:
-    """A record whose _make, and so _replace, goes through __new__ and
-    checks and scales its fields like the constructor."""
-
-    __slots__ = ()
-
-    @classmethod
-    def _make(cls, fields):
-        return cls(*fields)
-
-
-class PlaneConfiguration(_Checked, namedtuple("PlaneConfiguration", "points")):
+class PlaneConfiguration(_Record):
     """n+1 points of P^2 in general position; their dual lines form the
     polygon whose nodes the determinantal curve must pass through.  A
     point is projective, so rational coordinates are scaled once, here,
@@ -91,7 +81,7 @@ class PlaneConfiguration(_Checked, namedtuple("PlaneConfiguration", "points")):
             raise ValueError("a configuration has at least one point")
         if any(len(p) != 3 or not any(p) for p in points):
             raise ValueError("a point of P^2 is a nonzero vector of three coordinates")
-        return super().__new__(cls, points)
+        return tuple.__new__(cls, (points,))
 
     @property
     def n(self) -> int:
@@ -119,7 +109,7 @@ class PlaneConfiguration(_Checked, namedtuple("PlaneConfiguration", "points")):
         return True
 
 
-class HulsbergenDatum(_Checked, namedtuple("HulsbergenDatum", "config extension")):
+class HulsbergenDatum(_Record):
     """A configuration and an extension vector, one entry per point.  The
     curve does not change when the extension is scaled, so a rational
     extension is scaled once, here, to an integer vector."""
@@ -131,7 +121,7 @@ class HulsbergenDatum(_Checked, namedtuple("HulsbergenDatum", "config extension"
             raise ValueError("extension length must be n+1")
         if all(e == 0 for e in extension):
             raise ValueError("extension vector must be nonzero (non-split)")
-        return super().__new__(cls, config, tuple(clear_denominators(extension)))
+        return tuple.__new__(cls, (config, tuple(clear_denominators(extension))))
 
 
 def monomials(degree: int) -> list[tuple[int, int, int]]:
@@ -150,7 +140,7 @@ def monomial_values(degree: int, point) -> list:
     return list(_monomial_rows(degree, [point])[0])
 
 
-class PlaneCurve(_Checked, namedtuple("PlaneCurve", "degree coefficients")):
+class PlaneCurve(_Record):
     """A nonzero degree-d form on the dual plane, coefficients in the
     monomials(degree) order, primitive integers up to sign."""
 
@@ -161,7 +151,7 @@ class PlaneCurve(_Checked, namedtuple("PlaneCurve", "degree coefficients")):
             raise ValueError("a degree-d form has (d+1)(d+2)/2 coefficients, d >= 0")
         if not any(coefficients):
             raise ValueError("a plane curve is a nonzero form")
-        return super().__new__(cls, degree, coefficients)
+        return tuple.__new__(cls, (degree, coefficients))
 
     def evaluate(self, line):
         """The form at a line, exactly: an int at an integer line and a

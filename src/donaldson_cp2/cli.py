@@ -16,8 +16,6 @@ import sys
 
 import donaldson_cp2 as api  # read per call: a command loads only its layers
 
-from . import barth
-
 
 class ParseError(ValueError):
     """Integrand expression rejected; carries the byte offset and the
@@ -160,6 +158,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_witness(args) -> int:
+    from . import barth
     if not 1 <= args.samples <= MAX_SAMPLES:
         raise ValueError(f"--samples must be in 1..{MAX_SAMPLES}, got {args.samples}")
     results = []

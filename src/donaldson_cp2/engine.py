@@ -81,11 +81,12 @@ import marshal
 import os
 import random
 import sys
-from collections import namedtuple
 from functools import lru_cache
 from math import comb, gcd, lcm, prod
 from operator import mul
 from time import perf_counter
+
+from . import _Record
 
 
 class DegreeMismatch(ValueError):
@@ -134,25 +135,35 @@ def chart_frames(shift=(0, 0)):
 DEFAULT_FRAMES = chart_frames()
 
 
-class IntegrandSpec(namedtuple("IntegrandSpec", "i k")):
+class IntegrandSpec(_Record):
     """The class c1(L)^i * s_k(E tensor L)."""
 
     __slots__ = ()
 
+    def __new__(cls, i, k):
+        return tuple.__new__(cls, (i, k))
 
-class Specialization(namedtuple("Specialization", "w1 w2 seed")):
+
+class Specialization(_Record):
     """Integer values for the torus parameters, with the sampling seed."""
 
     __slots__ = ()
 
+    def __new__(cls, w1, w2, seed):
+        return tuple.__new__(cls, (w1, w2, seed))
 
-class IntegralResult(namedtuple("IntegralResult", "value m integrand spec_used "
-                                "cross_check_spec fixed_point_count elapsed_s")):
+
+class IntegralResult(_Record):
     """One integral with how it was computed; value is an exact int.
     elapsed_s is seconds on perf_counter: a measurement, not part of the
     result, so equality and hashing skip it."""
 
     __slots__ = ()
+
+    def __new__(cls, value, m, integrand, spec_used, cross_check_spec, fixed_point_count,
+                elapsed_s):
+        return tuple.__new__(cls, (value, m, integrand, spec_used, cross_check_spec,
+                                   fixed_point_count, elapsed_s))
 
     def __eq__(self, other):
         if type(other) is not type(self):

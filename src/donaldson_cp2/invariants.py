@@ -8,8 +8,7 @@ A prefactor is held as the int pair (num, den), and q is one exact
 integer division, so the module needs no `fractions`.
 """
 
-from collections import namedtuple
-
+from . import _Record
 from .engine import IntegralResult, IntegrandSpec, integrate, integrate_by_m
 
 
@@ -17,18 +16,23 @@ class OutOfRange(ValueError):
     """Arguments outside the range the formulas are valid for."""
 
 
-class DonaldsonResult(namedtuple("DonaldsonResult",
-                                  "n q raw_integral prefactor detail")):
+class DonaldsonResult(_Record):
     """q = raw_integral * num / den exactly, for prefactor = (num, den):
     a pair of ints in lowest terms with den > 0."""
 
     __slots__ = ()
 
+    def __new__(cls, n, q, raw_integral, prefactor, detail):
+        return tuple.__new__(cls, (n, q, raw_integral, prefactor, detail))
 
-class DarbouxCount(namedtuple("DarbouxCount", "n i count validated detail")):
+
+class DarbouxCount(_Record):
     """validated is False for n > 6: beyond the published range."""
 
     __slots__ = ()
+
+    def __new__(cls, n, i, count, validated, detail):
+        return tuple.__new__(cls, (n, i, count, validated, detail))
 
 
 def _donaldson_rule(n: int) -> tuple[int, tuple[int, int]]:
