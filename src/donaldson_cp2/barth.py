@@ -28,10 +28,11 @@ Point = tuple[int, int, int]
 COORD_RANGE = 30  # sampled coordinates lie in [-COORD_RANGE, COORD_RANGE]
 MAX_TRIES = 1000  # configurations drawn before sampling gives up
 # Largest n sampled.  Every seed tried succeeds up to n = 29, but one witness
-# (sample, curve, incidence and rank) took 0.11-0.21 s at n = 24, mean
-# 0.15 s, and 0.31-0.69 s at n = 29, up to 0.24 s of it redraws (seeds 0-9,
+# (sample, curve, incidence and rank) took 0.11-0.19 s at n = 24, mean
+# 0.15 s, and 0.26-0.55 s at n = 29, up to 0.08 s of it redraws (seeds 0-9,
 # two rounds of fresh processes, a 2-core box, Python 3.11); the curve is
-# 0.9-2.7 ms of it, incidence and rank most of the rest.
+# 0.9-2.9 ms of it, incidence with the node matrix 31-52 ms at n = 24 and
+# the rank most of the rest.
 MAX_N = 24
 
 P = 2**26 - 5  # the largest prime below 2**26; see rank_mod_p
@@ -67,6 +68,41 @@ def _cross(p: Point, q: Point) -> Point:
     )
 
 
+def _node_class(node: Point):
+    """The node over its signed gcd, so that proportional nodes share one
+    class, with a positive first nonzero coordinate; None at a zero node."""
+    a, b, c = node
+    g = gcd(a, b, c) if (a or b or c) > 0 else -gcd(a, b, c)
+    return (a // g, b // g, c // g) if g else None
+
+
+@lru_cache(maxsize=1)
+def _generic_nodes(points):
+    """The nodes of a generic configuration, one cross product per pair p
+    < q in `nodes` order, or None as soon as one node is zero or repeats
+    the class of an earlier one.
+
+    That one scan decides genericity.  The cross product of p and q is
+    zero exactly when they name the same point; otherwise it is the line
+    through them.  Two pairs of distinct points give proportional nodes
+    exactly when they span one line, and two pairs on one line put three
+    distinct points on it, as the pairs share at most one point.
+    Conversely, three collinear points p, q, r give the proportional nodes
+    of p, q and of p, r.  So the points are generic, pairwise distinct with
+    no three collinear, iff every node is nonzero and no two are
+    proportional.  Sampling and the node matrix read the same points, so
+    the last answer is kept and shared, hence a tuple."""
+    nodes, classes = [], set()
+    for p, q in combinations(points, 2):
+        node = _cross(p, q)
+        key = _node_class(node)
+        if key is None or key in classes:
+            return None
+        classes.add(key)
+        nodes.append(node)
+    return tuple(nodes)
+
+
 class PlaneConfiguration(_Record):
     """n+1 points of P^2 in general position; their dual lines form the
     polygon whose nodes the determinantal curve must pass through.  A
@@ -93,20 +129,8 @@ class PlaneConfiguration(_Record):
 
     def is_generic(self) -> bool:
         """True iff no two points are projectively equal and no three are
-        collinear, so that no three dual lines are concurrent.  One cross
-        product per pair p < q decides both: it is zero exactly when p and
-        q name the same point, and its dot product with each later point r
-        is det(p, q, r)."""
-        points = self.points
-        for i, p in enumerate(points):
-            for j in range(i + 1, len(points)):
-                a, b, c = _cross(p, points[j])
-                if not (a or b or c):
-                    return False  # projectively equal points
-                for x, y, z in points[j + 1:]:
-                    if a * x + b * y + c * z == 0:
-                        return False  # three collinear points / concurrent dual lines
-        return True
+        collinear, so that no three dual lines are concurrent."""
+        return _generic_nodes(self.points) is not None
 
 
 class HulsbergenDatum(_Record):
@@ -173,9 +197,8 @@ def sample_configuration(n: int, seed: int) -> PlaneConfiguration:
              1)
             for _ in range(n + 1)
         )
-        config = PlaneConfiguration(points)
-        if config.is_generic():
-            return config
+        if _generic_nodes(points) is not None:
+            return PlaneConfiguration(points)
     raise SamplingExhausted(f"no generic configuration in {MAX_TRIES} tries")
 
 
@@ -261,10 +284,7 @@ def barth_curve(datum: HulsbergenDatum) -> PlaneCurve:
     biased = total + half * ones
     rows = [biased >> row * k & (1 << row) - 1 for k in range(n + 1)]
     mask = (1 << width) - 1
-    # monomials order: x1 + x2 degree e ascending, then the x1 exponent j
-    # descending, so the x2 exponent is e - j
-    coefficients = [(rows[e - j] >> width * j & mask) - half
-                    for e in range(n + 1) for j in range(e, -1, -1)]
+    coefficients = [(rows[k] >> width * j & mask) - half for _, j, k in monomials(n)]
 
     # primitive, with a positive leading coefficient
     lead = next(v for v in coefficients if v != 0)
@@ -293,17 +313,21 @@ def _monomial_rows(degree: int, points) -> tuple:
 @lru_cache(maxsize=1)
 def _node_rows(config: PlaneConfiguration) -> tuple:
     """The node-evaluation matrix: `_monomial_rows` at one node per point
-    of the dual plane.  Zero nodes (equal points) are dropped and, of
-    proportional nodes (concurrent dual lines), the first is kept unscaled,
-    so a generic configuration keeps every node in order; the row at c * p
-    is c**n times the row at p.  Incidence and the system read the same
-    configuration, so the last matrix is kept and shared, hence tuples."""
-    distinct = {}
-    for a, b, c in config.nodes():
-        g = gcd(a, b, c) if (a or b or c) > 0 else -gcd(a, b, c)
-        if g:  # 0 only at a zero node
-            distinct.setdefault((a // g, b // g, c // g), (a, b, c))
-    return _monomial_rows(config.n, list(distinct.values()))
+    of the dual plane.  A generic configuration keeps every node in order,
+    as `_generic_nodes` found them.  Otherwise zero nodes (equal points)
+    are dropped and, of proportional nodes (concurrent dual lines), the
+    first is kept unscaled; the row at c * p is c**n times the row at p.
+    Incidence and the system read the same configuration, so the last
+    matrix is kept and shared, hence tuples."""
+    nodes = _generic_nodes(config.points)
+    if nodes is None:
+        distinct = {}
+        for node in config.nodes():
+            key = _node_class(node)
+            if key is not None:
+                distinct.setdefault(key, node)
+        nodes = list(distinct.values())
+    return _monomial_rows(config.n, nodes)
 
 
 def verify_darboux(config: PlaneConfiguration, curve: PlaneCurve) -> bool:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import time
@@ -382,6 +383,20 @@ def test_sample_configuration_deterministic():
     assert sample_configuration(4, seed=9) == sample_configuration(4, seed=9)
 
 
+@pytest.mark.parametrize("n,digest", [
+    (2, "65f64235bcee6aa0de7c033224e06a0db23fe309deaf7bdce4397a1634701700"),
+    (7, "71be282b0b56ad02e918484cc74fe9b8a40e00f905b69ecbe14857e4df31ecf5"),
+    (12, "4774fbcd2030e600d7c889899feb9f054b34a28758f8308e762f615f44e1b04b"),
+    # nearly every draw at the cap has a collinear triple and is redrawn
+    (24, "de7a333e8e285d92405af77862fb43ad96e25b377083fbf90416491cd176c0b7"),
+])
+def test_sample_configuration_is_pinned(n, digest):
+    # the sampler's points for seeds 0..9, pinned by the sha256 of their
+    # repr: a change to which draws are accepted moves every witness
+    points = [sample_configuration(n, seed).points for seed in range(10)]
+    assert hashlib.sha256(repr(points).encode()).hexdigest() == digest
+
+
 def test_collinear_configuration_detected():
     pts = ((F(0), F(0), F(1)), (F(1), F(1), F(1)), (F(2), F(2), F(1)))
     assert not PlaneConfiguration(pts).is_generic()
@@ -483,11 +498,20 @@ def test_a_configuration_without_points_is_refused():
         PlaneConfiguration(UNIT_POINTS)._replace(points=())
 
 
-def test_one_witness_builds_each_node_row_once():
+def test_one_witness_builds_each_node_row_once(monkeypatch):
+    # the genericity scan of the one draw (seed 3 is accepted at once)
+    # computes the 28 nodes, and the node matrix reads them from its cache
+    calls = []
+    cross = barth._cross
+    monkeypatch.setattr(barth, "_cross", lambda p, q: calls.append(1) or cross(p, q))
+    barth._generic_nodes.cache_clear()
     barth._node_rows.cache_clear()
     datum = sample_datum(7, 3)
     assert verify_darboux(datum.config, barth_curve(datum))
     assert darboux_system_dimension(datum.config) == 7
+    assert len(calls) == 28
+    info = barth._generic_nodes.cache_info()
+    assert (info.misses, info.hits) == (1, 1)  # one draw, scanned once, read once
     info = barth._node_rows.cache_info()
     assert (info.misses, info.hits) == (1, 1)  # one matrix, read by both checks
     rows = barth._node_rows(datum.config)
@@ -697,6 +721,8 @@ def test_is_generic_is_every_pair_and_every_triple():
                  == p[0] * q[1] - p[1] * q[0] == 0]
         collinear = any(det3(p, q, r) == 0 for p, q, r in combinations(points, 3))
         assert config.is_generic() == (not equal and not collinear), points
+        n = config.n
+        assert config.is_generic() == (len(barth._node_rows(config)) == n * (n + 1) // 2)
         seen["repeated"] += any(p == q for p, q in equal)
         seen["proportional"] += any(p != q for p, q in equal)
         seen["collinear"] += collinear and not equal
