@@ -2,15 +2,16 @@
 the package is accountable for, as independent named checks.
 
 Each check returns (ok, detail).  The CLI `verify` subcommand and the
-acceptance tests both run exactly these.
+acceptance tests both run exactly these.  The Bareiss determinant that
+`darboux_form_oracle` checks the witness curve against lives here, apart
+from `barth`, which never loads this module.
 """
 
 from math import gcd, prod
 from time import perf_counter
 
 from .engine import IntegrandSpec, fixed_point_count, integrate, integrate_by_m
-from .invariants import darboux_count, donaldson_q
-from .linalg import bareiss_det
+from .invariants import donaldson_q
 from . import barth
 
 PUBLISHED_Q = {2: 1, 3: 3, 4: 54, 5: 2540, 6: 233208}
@@ -32,27 +33,6 @@ def check_published_invariants():
     got = {n: donaldson_q(n).q for n in range(2, 7)}
     ok = got == PUBLISHED_Q
     return ok, f"q values {got} vs published {PUBLISHED_Q}"
-
-
-def check_raw_integrals():
-    v6 = integrate(6, IntegrandSpec(0, 12)).value
-    v7 = integrate(7, IntegrandSpec(0, 14)).value
-    ok = v6 == 2540 and v7 == 583020
-    return ok, f"integral over H_6 = {v6} (want 2540), over H_7 = {v7} (want 583020)"
-
-
-def check_donaldson_darboux_prefactor():
-    """q_{4n-3} * 2^(5-n) and darboux(n, 5-n) share one integral by
-    construction, so this pins the prefactor and the integrality of q."""
-    bad = []
-    for n in range(2, 6):
-        lhs = 2 ** (5 - n) * donaldson_q(n).q
-        rhs = darboux_count(n, 5 - n).count
-        if lhs != rhs:
-            bad.append((n, lhs, rhs))
-    return not bad, (f"mismatches: {bad}" if bad else
-                     "q_(4n-3) * 2^(5-n) and darboux(n, 5-n) share one integral: "
-                     "prefactor and integrality hold for n=2..5")
 
 
 def check_specialization_independence():
@@ -100,6 +80,44 @@ def check_barth_witness():
             if dim != n:
                 return False, f"system dimension {dim} != {n} at seed {1000 + seed}"
     return True, "degree, incidence and system dimension correct for n=2..12"
+
+
+def _eliminate(matrix) -> tuple[int, int, int]:
+    """Bareiss fraction-free Gaussian elimination of an integer matrix.
+    All intermediate entries stay integral.
+
+    Returns (rank, sign, last pivot), where sign is that of the row
+    permutation; for a square matrix of full rank, sign * last pivot is
+    the determinant.
+    """
+    m = [list(row) for row in matrix]
+    rows = len(m)
+    cols = len(m[0]) if m else 0
+    rank, sign, prev = 0, 1, 1
+    for c in range(cols):
+        if rank == rows:
+            break
+        pivot = next((j for j in range(rank, rows) if m[j][c] != 0), None)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            m[rank], m[pivot] = m[pivot], m[rank]
+            sign = -sign
+        for j in range(rank + 1, rows):
+            for cc in range(c + 1, cols):
+                m[j][cc] = (m[rank][c] * m[j][cc] - m[j][c] * m[rank][cc]) // prev
+            m[j][c] = 0
+        prev = m[rank][c]
+        rank += 1
+    return rank, sign, prev
+
+
+def bareiss_det(matrix) -> int:
+    """Determinant of a square integer matrix by Bareiss elimination."""
+    if any(len(row) != len(matrix) for row in matrix):
+        raise ValueError("matrix must be square")
+    rank, sign, last = _eliminate(matrix)
+    return sign * last if rank == len(matrix) else 0
 
 
 def multiplication_determinant(datum, line) -> int:
@@ -174,8 +192,6 @@ def check_c1_power_oracle():
 
 CRITERIA = [
     ("published_invariants", check_published_invariants),
-    ("raw_integrals", check_raw_integrals),
-    ("donaldson_darboux_prefactor", check_donaldson_darboux_prefactor),
     ("specialization_independence", check_specialization_independence),
     ("vanishing", check_vanishing),
     ("fixed_point_counts", check_fixed_point_counts),
@@ -188,10 +204,17 @@ CRITERIA = [
 
 def run_checks():
     """Run the checks in CRITERIA order, yielding one record per check as
-    it finishes: its name, ok, detail and elapsed_s, its monotonic time."""
+    it finishes: its name, ok, detail and elapsed_s, its monotonic time.
+    A check that raises one of the package's two error families,
+    ArithmeticError or ValueError, fails with the error as its detail and
+    the next check still runs; any other exception is a bug in the check
+    and propagates."""
     for name, check in CRITERIA:
         t0 = perf_counter()
-        ok, detail = check()
+        try:
+            ok, detail = check()
+        except (ArithmeticError, ValueError) as exc:
+            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         yield {"name": name, "ok": ok, "detail": detail, "elapsed_s": perf_counter() - t0}
 
 

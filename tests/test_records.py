@@ -201,8 +201,7 @@ def test_witness_loads_neither_the_engine_nor_fractions():
         "assert barth.darboux_system_dimension(config) == 26"
     )
     heavy = {"fractions", "decimal", "numbers", "donaldson_cp2.engine",
-             "donaldson_cp2.invariants", "donaldson_cp2.linalg",
-             "donaldson_cp2.verify"}
+             "donaldson_cp2.invariants", "donaldson_cp2.verify"}
     assert _newly_loaded(body, heavy) == []
 
 

@@ -1,3 +1,5 @@
+import pytest
+
 from donaldson_cp2 import engine, verify
 
 
@@ -12,6 +14,32 @@ def test_run_checks_reports_each_check_with_its_time(monkeypatch):
     assert all(r["ok"] for r in records) is False
     assert [verify.report_line(r) for r in records] == [
         "PASS first (1.25 s): fine", "FAIL second (0.50 s): broken"]
+
+
+def test_a_check_that_raises_a_package_error_fails_and_the_next_still_runs(monkeypatch):
+    def degenerate():
+        raise engine.DegenerateSpecialization("a tangent weight vanishes")
+
+    def usage():
+        raise ValueError("m must be nonnegative")
+
+    monkeypatch.setattr(verify, "CRITERIA", [
+        ("degenerate", degenerate), ("usage", usage), ("after", lambda: (True, "fine"))])
+    assert [(r["name"], r["ok"], r["detail"]) for r in verify.run_checks()] == [
+        ("degenerate", False, "raised DegenerateSpecialization: a tangent weight vanishes"),
+        ("usage", False, "raised ValueError: m must be nonnegative"),
+        ("after", True, "fine")]
+
+
+def test_a_check_that_raises_any_other_error_propagates(monkeypatch):
+    def bug():
+        raise TypeError("a bug in the check")
+
+    monkeypatch.setattr(verify, "CRITERIA", [
+        ("bug", bug), ("after", lambda: (True, "fine"))])
+    records = verify.run_checks()
+    with pytest.raises(TypeError, match="a bug in the check"):
+        next(records)
 
 
 def test_fixed_point_counts_build_each_size_once():
