@@ -10,7 +10,7 @@ from `barth`, which never loads this module.
 from math import gcd, prod
 from time import perf_counter
 
-from .engine import IntegrandSpec, fixed_point_count, integrate, integrate_by_m
+from .engine import MAX_M, IntegrandSpec, fixed_point_count, integrate, integrate_by_m
 from .invariants import donaldson_q
 from . import barth
 
@@ -177,17 +177,24 @@ def check_run_determinism():
                 f"{', '.join(sorted(map(str, values)))}")
 
 
-def check_c1_power_oracle():
-    """The integral of c1(L)^{2m} is (2m-1)!! (L is pulled back from
-    Sym^m P^2), an independent closed form for the whole sum, from one
-    pass over m = 1..9 and so for the products it shares too."""
+def check_closed_forms():
+    """Two closed forms at every size the engine accepts, from one pass
+    over m = 1..MAX_M: the integral of c1(L)^{2m} is (2m-1)!! (L is pulled
+    back from Sym^m P^2), and that of c1(L)^{2m-1} s_1(E tensor L) is
+    (m-1)(2m-1)!!, since c1(E) = -L - B/2 with B the Hilbert-Chow boundary
+    and L^{2m-1}.B = 0.  Both are independent of the sum, so they pin it,
+    and the tables and products it shares, at every m."""
+    passes = {m: [IntegrandSpec(2 * m, 0), IntegrandSpec(2 * m - 1, 1)]
+              for m in range(1, MAX_M + 1)}
     bad = []
-    for m, (res,) in integrate_by_m({m: [IntegrandSpec(2 * m, 0)]
-                                     for m in range(1, 10)}).items():
-        want = prod(range(2 * m - 1, 0, -2))
-        if res.value != want:
-            bad.append((m, res.value, want))
-    return not bad, f"mismatches: {bad}" if bad else "c1(L)^2m = (2m-1)!! for m=1..9"
+    for m, (power, segre) in integrate_by_m(passes).items():
+        double_factorial = prod(range(2 * m - 1, 0, -2))
+        want = (double_factorial, (m - 1) * double_factorial)
+        if (power.value, segre.value) != want:
+            bad.append((m, (power.value, segre.value), want))
+    return not bad, (f"mismatches: {bad}" if bad else
+                     "c1(L)^2m = (2m-1)!! and c1(L)^(2m-1) s1(E*L) = (m-1) (2m-1)!! "
+                     f"for m=1..{MAX_M}, one pass")
 
 
 CRITERIA = [
@@ -197,7 +204,7 @@ CRITERIA = [
     ("fixed_point_counts", check_fixed_point_counts),
     ("barth_witness", check_barth_witness),
     ("run_determinism", check_run_determinism),
-    ("c1_power_oracle", check_c1_power_oracle),
+    ("closed_forms", check_closed_forms),
     ("darboux_form_oracle", check_darboux_form_oracle),
 ]
 

@@ -125,10 +125,6 @@ def test_one_segre_degree_is_a_closed_form(m):
     assert value == (m - 1) * prod(range(2 * m - 1, 0, -2))
 
 
-def test_integrate_vanishing_mode():
-    assert integrate(2, IntegrandSpec(1, 2)).value == 0
-
-
 def test_integrate_rejects_excess_degree():
     with pytest.raises(DegreeMismatch):
         integrate(2, IntegrandSpec(3, 2))

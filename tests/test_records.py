@@ -230,23 +230,18 @@ def test_cli_loads_barth_only_for_witness(argv):
 
 
 @pytest.mark.parametrize("body", [
-    "import donaldson_cp2 as api\napi.integrate(4, api.IntegrandSpec(0, 8))",
     _cli_run(["integrate", "--m", "3", "--expr", "s6(E*L)"]),
-], ids=["api", "cli"])
-def test_integrate_loads_no_fractions(body):
-    # an integral is an int, so neither the engine nor the CLI needs fractions
-    assert _newly_loaded(body, {"fractions", "decimal", "numbers"}) == []
-
-
-@pytest.mark.parametrize("body", [
     _cli_run(["donaldson", "--n", "2"]),
     _cli_run(["darboux", "--n", "2", "--i", "3"]),
     _cli_run(["table", "--n-max", "3"]),
+    "import donaldson_cp2 as api\napi.integrate(4, api.IntegrandSpec(0, 8))",
     "import donaldson_cp2 as api\napi.invariant_table(3)",
     "import donaldson_cp2.verify",
-], ids=["donaldson", "darboux", "table", "invariant_table", "verify"])
+], ids=["integrate", "donaldson", "darboux", "table", "api_integrate", "invariant_table",
+        "verify"])
 def test_no_command_loads_fractions(body):
-    # a Donaldson prefactor is an int pair, so nothing needs fractions
+    # an integral is an int and a Donaldson prefactor an int pair, so
+    # nothing needs fractions
     assert _newly_loaded(body, {"fractions", "decimal", "numbers"}) == []
 
 

